@@ -363,8 +363,18 @@ let library_pattern device input ~y ?v ?beta_z ~alpha () =
   in
   library_epilogue device ~alpha ~beta_z w reports
 
-let pattern ?(engine = Fused) ?pool ?cluster device input ~y ?v ?beta_z ~alpha
-    () =
+(* [out] for the engines whose kernels cannot write into it: their
+   fresh result is copied over, so every attempt of the recovery chain
+   (and the reference floor) hands back the caller's vector. *)
+let into out r =
+  match out with
+  | Some o when r.w != o ->
+      Array.blit r.w 0 o 0 (Array.length o);
+      { r with w = o }
+  | _ -> r
+
+let pattern ?(engine = Fused) ?pool ?cluster ?out device input ~y ?v ?beta_z
+    ~alpha () =
   let t0 = Kf_obs.Clock.now_ns () in
   let op = "pattern" in
   let finish = finish ~op ~input ~t0 in
@@ -382,13 +392,16 @@ let pattern ?(engine = Fused) ?pool ?cluster device input ~y ?v ?beta_z ~alpha
   let beta, z =
     match beta_z with None -> (None, None) | Some (b, z) -> (Some b, Some z)
   in
+  Option.iter
+    (Host_fused.check_out ~name:"Executor.pattern" ~cols:(cols input) ~y ~v ~z)
+    out;
   let reference () =
     let w =
       match input with
       | Sparse x -> Matrix.Blas.pattern_sparse ~alpha x ?v y ?beta ?z ()
       | Dense x -> Matrix.Blas.pattern_dense ~alpha x ?v y ?beta ?z ()
     in
-    reference_result ~op ~input ~t0 ~instantiation w
+    into out (reference_result ~op ~input ~t0 ~instantiation w)
   in
   let rec dispatch engine =
   match (engine, input) with
@@ -415,7 +428,8 @@ let pattern ?(engine = Fused) ?pool ?cluster device input ~y ?v ?beta_z ~alpha
         ~engine_used:(host_engine_used ~kernel:"fused sparse" ~pool ~variant)
         ~pool
         (fun () ->
-          Host_fused.pattern_sparse ~pool ~variant ~alpha x ?v y ?beta ?z ())
+          Host_fused.pattern_sparse ~pool ~variant ?out ~alpha x ?v y ?beta ?z
+            ())
   | Host, Dense x ->
       let pool = host_pool pool in
       let variant =
@@ -426,7 +440,8 @@ let pattern ?(engine = Fused) ?pool ?cluster device input ~y ?v ?beta_z ~alpha
         ~engine_used:(host_engine_used ~kernel:"fused dense" ~pool ~variant)
         ~pool
         (fun () ->
-          Host_fused.pattern_dense ~pool ~variant ~alpha x ?v y ?beta ?z ())
+          Host_fused.pattern_dense ~pool ~variant ?out ~alpha x ?v y ?beta ?z
+            ())
   | Fused, Sparse x ->
       let w, reports, plan =
         Fused_sparse.pattern device x ~y ?v ?beta_z ~alpha ()
@@ -458,7 +473,8 @@ let pattern ?(engine = Fused) ?pool ?cluster device input ~y ?v ?beta_z ~alpha
       in
       finish ~instantiation ~engine_used w reports
   in
-  guarded ~op ~engine ~vec_of:(fun r -> r.w) ~reference ~dispatch
+  guarded ~op ~engine ~vec_of:(fun r -> r.w) ~reference
+    ~dispatch:(fun e -> into out (dispatch e))
 
 let x_y ?(engine = Fused) ?pool ?cluster device input y =
   let t0 = Kf_obs.Clock.now_ns () in

@@ -105,6 +105,7 @@ val pattern :
   ?engine:engine ->
   ?pool:Par.Pool.t ->
   ?cluster:Kf_dist.Cluster.t ->
+  ?out:Matrix.Vec.t ->
   Device.t ->
   input ->
   y:Matrix.Vec.t ->
@@ -114,7 +115,16 @@ val pattern :
   unit ->
   result
 (** Every other row of Table 1, selected by which optional arguments are
-    present. *)
+    present.
+
+    With [out] the result is written into that caller-owned vector and
+    [result.w] is [out] itself: the [Host] kernels write the finished
+    [alpha * w + beta * z] straight into it, while the other engines,
+    and any retry, fallback or reference run taken by the recovery
+    chain, copy their result over it.  The values are the same as
+    without [out], bit for bit.  Raises [Invalid_argument] if [out]
+    does not have one element per column or is physically one of [y],
+    [v], [z]. *)
 
 val x_y :
   ?engine:engine ->

@@ -30,35 +30,26 @@ let choose_variant ?budget_bytes ~domains ~cols () =
 
 let get_pool = function Some p -> p | None -> Par.Pool.default ()
 
-(* The accumulator helpers below take the Bigarray as a parameter, so
-   the element kind must be pinned by annotation: a bare parameter is
-   still a type variable when its binding is compiled, and the compiler
-   then emits generic (C-call) accessors instead of unboxed float64
-   loads — a silent ~4x slowdown on the hot loops. *)
-type acc = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(* Tree-merge step over Bigarray accumulators, 4-way unrolled. *)
-let merge_add_ba ~(dst : acc) ~(src : acc) =
-  let n = Bigarray.Array1.dim dst in
+(* Tree-merge step over the first [n] elements of two scratch
+   accumulators, 4-way unrolled.  The buffers may be longer than [n]
+   (pool scratch is grow-only), so the length is passed, never read. *)
+let merge_add ~n ~(dst : float array) ~(src : float array) =
   let i = ref 0 in
   while !i + 4 <= n do
     let i0 = !i in
-    Bigarray.Array1.unsafe_set dst i0
-      (Bigarray.Array1.unsafe_get dst i0 +. Bigarray.Array1.unsafe_get src i0);
-    Bigarray.Array1.unsafe_set dst (i0 + 1)
-      (Bigarray.Array1.unsafe_get dst (i0 + 1)
-      +. Bigarray.Array1.unsafe_get src (i0 + 1));
-    Bigarray.Array1.unsafe_set dst (i0 + 2)
-      (Bigarray.Array1.unsafe_get dst (i0 + 2)
-      +. Bigarray.Array1.unsafe_get src (i0 + 2));
-    Bigarray.Array1.unsafe_set dst (i0 + 3)
-      (Bigarray.Array1.unsafe_get dst (i0 + 3)
-      +. Bigarray.Array1.unsafe_get src (i0 + 3));
+    Array.unsafe_set dst i0
+      (Array.unsafe_get dst i0 +. Array.unsafe_get src i0);
+    Array.unsafe_set dst (i0 + 1)
+      (Array.unsafe_get dst (i0 + 1) +. Array.unsafe_get src (i0 + 1));
+    Array.unsafe_set dst (i0 + 2)
+      (Array.unsafe_get dst (i0 + 2) +. Array.unsafe_get src (i0 + 2));
+    Array.unsafe_set dst (i0 + 3)
+      (Array.unsafe_get dst (i0 + 3) +. Array.unsafe_get src (i0 + 3));
     i := i0 + 4
   done;
   while !i < n do
-    Bigarray.Array1.unsafe_set dst !i
-      (Bigarray.Array1.unsafe_get dst !i +. Bigarray.Array1.unsafe_get src !i);
+    Array.unsafe_set dst !i
+      (Array.unsafe_get dst !i +. Array.unsafe_get src !i);
     incr i
   done
 
@@ -73,22 +64,39 @@ let epilogue_of ~beta ~z =
       else None
   | None, Some _ -> invalid_arg "Blas.pattern: z given without beta"
 
-(* Convert a merged Bigarray accumulator into the caller's result,
-   folding [alpha] and [beta * z] into the one write pass. *)
-let finalize_ba ~alpha ~beta_z (m : acc) ~cols =
-  let out = Array.make cols 0.0 in
-  (match beta_z with
+(* Convert a merged accumulator into the caller's result [out], folding
+   [alpha] and [beta * z] into the one write pass. *)
+let finalize ~alpha ~beta_z (m : float array) ~(out : float array) =
+  let cols = Array.length out in
+  match beta_z with
   | None ->
       for c = 0 to cols - 1 do
-        Array.unsafe_set out c (alpha *. Bigarray.Array1.unsafe_get m c)
+        Array.unsafe_set out c (alpha *. Array.unsafe_get m c)
       done
   | Some (beta, z) ->
       for c = 0 to cols - 1 do
         Array.unsafe_set out c
-          ((alpha *. Bigarray.Array1.unsafe_get m c)
-          +. (beta *. Array.unsafe_get z c))
-      done);
-  out
+          ((alpha *. Array.unsafe_get m c) +. (beta *. Array.unsafe_get z c))
+      done
+
+(* [out] is written while the kernels still read y, v and z, and a
+   retry rereads them after a failed attempt wrote [out]: it must be
+   none of them. *)
+let check_out ~name ~cols ~y ~v ~z o =
+  if Array.length o <> cols then
+    invalid_arg (name ^ ": out must have one element per column");
+  let aliases = function Some a -> a == o | None -> false in
+  if o == y || aliases v || aliases z then
+    invalid_arg (name ^ ": out must not alias y, v or z")
+
+(* The result vector: the caller's [out] when given, else a fresh one —
+   every path below overwrites all of it. *)
+let output ~name ?out ~cols ~y ~v ~z () =
+  match out with
+  | None -> Array.create_float cols
+  | Some o ->
+      check_out ~name ~cols ~y ~v ~z o;
+      o
 
 let check_sparse_args (x : Matrix.Csr.t) ~v ~y ~z ~name =
   if Array.length y <> x.cols then
@@ -104,16 +112,19 @@ let check_sparse_args (x : Matrix.Csr.t) ~v ~y ~z ~name =
 
 (* Degenerate shapes never reach the pool: the alpha term is a sum over
    zero rows (or zero columns), so the result is just the epilogue. *)
-let degenerate ~alpha ~beta ~z ~cols =
-  Matrix.Blas.finish_pattern ~alpha ~beta ~z (Array.make cols 0.0)
+let degenerate ~alpha ~beta ~z ~out =
+  Array.fill out 0 (Array.length out) 0.0;
+  ignore (Matrix.Blas.finish_pattern ~alpha ~beta ~z out);
+  out
 
 (* One fused pass over the rows [rlo, rhi) of [x], scattering each row's
-   scalar contribution into the Bigarray accumulator [w].  [p_of]
+   scalar contribution into the accumulator [w].  [p_of]
    yields the per-row scalar: either a fresh dot product against y
    (Algorithm 2's first walk, locals standing in for registers) or a
    precomputed value (Algorithm 1).  The scatter is 4-way unrolled over
    unsafe accesses — the host's register-unrolling (TL) analogue. *)
-let sparse_scatter_rows_ba (x : Matrix.Csr.t) ~p_of ~(w : acc) ~rlo ~rhi =
+let sparse_scatter_rows_acc (x : Matrix.Csr.t) ~p_of ~(w : float array) ~rlo
+    ~rhi =
   let values = x.values and col_idx = x.col_idx and row_off = x.row_off in
   for r = rlo to rhi - 1 do
     let s = Array.unsafe_get row_off r
@@ -132,20 +143,16 @@ let sparse_scatter_rows_ba (x : Matrix.Csr.t) ~p_of ~(w : acc) ~rlo ~rhi =
           and v2 = Array.unsafe_get values (i0 + 2) in
           let c3 = Array.unsafe_get col_idx (i0 + 3)
           and v3 = Array.unsafe_get values (i0 + 3) in
-          Bigarray.Array1.unsafe_set w c0
-            (Bigarray.Array1.unsafe_get w c0 +. (v0 *. pr));
-          Bigarray.Array1.unsafe_set w c1
-            (Bigarray.Array1.unsafe_get w c1 +. (v1 *. pr));
-          Bigarray.Array1.unsafe_set w c2
-            (Bigarray.Array1.unsafe_get w c2 +. (v2 *. pr));
-          Bigarray.Array1.unsafe_set w c3
-            (Bigarray.Array1.unsafe_get w c3 +. (v3 *. pr));
+          Array.unsafe_set w c0 (Array.unsafe_get w c0 +. (v0 *. pr));
+          Array.unsafe_set w c1 (Array.unsafe_get w c1 +. (v1 *. pr));
+          Array.unsafe_set w c2 (Array.unsafe_get w c2 +. (v2 *. pr));
+          Array.unsafe_set w c3 (Array.unsafe_get w c3 +. (v3 *. pr));
           i := i0 + 4
         done;
         while !i < e do
           let c = Array.unsafe_get col_idx !i in
-          Bigarray.Array1.unsafe_set w c
-            (Bigarray.Array1.unsafe_get w c
+          Array.unsafe_set w c
+            (Array.unsafe_get w c
             +. (Array.unsafe_get values !i *. pr));
           incr i
         done
@@ -213,10 +220,12 @@ let sparse_row_dot (x : Matrix.Csr.t) y ~v r s e =
   match v with None -> !acc | Some v -> !acc *. v.(r)
 
 (* Observability: accumulator allocations are recorded from the
-   coordinating domain (single-writer tallies); per-worker rows/nnz are
-   credited inside the worker closures, each writing only its own
-   slot.  Every recording entry point is a no-op one-flag check unless
-   the executor installed a Host_stats sink. *)
+   coordinating domain (single-writer tallies) — by [Par.Pool.scratch]
+   when a workspace buffer grows, here for the legacy variant's fresh
+   arrays; per-worker rows/nnz are credited inside the worker closures,
+   each writing only its own slot.  Every recording entry point is a
+   no-op one-flag check unless the executor installed a Host_stats
+   sink. *)
 let record_accs ~count ~elems =
   if Kf_obs.Host_stats.profiling () then
     for _ = 1 to count do
@@ -229,30 +238,35 @@ let record_merge_traffic ~workers ~cols =
   if Kf_obs.Host_stats.profiling () then
     Kf_obs.Host_stats.record_merge_bytes ~bytes:((workers - 1) * cols * 8 * 3)
 
-(* Dense_acc: nnz-balanced row ranges, per-domain Bigarray accumulators,
-   tree merge — the three-tier hierarchical aggregation in one matrix
+(* The per-domain accumulators of [Dense_acc]: each worker's [Acc]
+   scratch buffer, zero-filled by its owner inside the job. *)
+let dense_acc_buffers pool ~cols =
+  Array.init (Par.Pool.size pool) (fun wid ->
+      Par.Pool.scratch pool Par.Pool.Acc ~wid cols)
+
+(* Tree-merge the per-domain accumulators into [parts.(0)]. *)
+let merge_accs pool parts ~cols =
+  let merged = Par.Pool.reduce pool ~merge:(merge_add ~n:cols) parts in
+  record_merge_traffic ~workers:(Par.Pool.size pool) ~cols;
+  merged
+
+(* Dense_acc: nnz-balanced row ranges, per-domain accumulators, tree
+   merge — the three-tier hierarchical aggregation in one matrix
    walk. *)
 let sparse_dense_acc pool (x : Matrix.Csr.t) ~p_of =
   let workers = Par.Pool.size pool in
   let bounds = Par.Partition.by_prefix ~prefix:x.row_off ~parts:workers () in
-  record_accs ~count:workers ~elems:x.cols;
-  let parts =
-    Par.Pool.map_workers pool (fun wid ->
-        let w =
-          Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout x.cols
-        in
-        Bigarray.Array1.fill w 0.0;
-        if Kf_obs.Host_stats.profiling () then
-          Kf_obs.Host_stats.add_work
-            ~rows:(bounds.(wid + 1) - bounds.(wid))
-            ~nnz:(x.row_off.(bounds.(wid + 1)) - x.row_off.(bounds.(wid)));
-        sparse_scatter_rows_ba x ~p_of ~w ~rlo:bounds.(wid)
-          ~rhi:bounds.(wid + 1);
-        w)
-  in
-  let merged = Par.Pool.reduce pool ~merge:merge_add_ba parts in
-  record_merge_traffic ~workers ~cols:x.cols;
-  merged
+  let parts = dense_acc_buffers pool ~cols:x.cols in
+  Par.Pool.run_workers pool (fun wid ->
+      let w = parts.(wid) in
+      Array.fill w 0 x.cols 0.0;
+      if Kf_obs.Host_stats.profiling () then
+        Kf_obs.Host_stats.add_work
+          ~rows:(bounds.(wid + 1) - bounds.(wid))
+          ~nnz:(x.row_off.(bounds.(wid + 1)) - x.row_off.(bounds.(wid)));
+      sparse_scatter_rows_acc x ~p_of ~w ~rlo:bounds.(wid)
+        ~rhi:bounds.(wid + 1));
+  merge_accs pool parts ~cols:x.cols
 
 (* Col_partition (legacy baseline): [p] is materialised by a
    row-parallel pass, then every domain streams the matrix filtering
@@ -291,10 +305,9 @@ let sparse_col_partition pool (x : Matrix.Csr.t) ~p_of =
    accumulators, no merge, and exactly one streaming of the matrix per
    pass.  The epilogue is folded into the owners' final writes. *)
 let sparse_blocked pool ?tile_rows ?tile_cols (x : Matrix.Csr.t) ~p_of ~alpha
-    ~beta_z =
+    ~beta_z ~out =
   let workers = Par.Pool.size pool in
-  let p = Array.make x.rows 0.0 in
-  record_accs ~count:1 ~elems:x.rows;
+  let p = Par.Pool.scratch pool Par.Pool.Rows ~wid:0 x.rows in
   let chunk =
     match tile_rows with
     | Some n when n >= 1 -> n
@@ -306,15 +319,13 @@ let sparse_blocked pool ?tile_rows ?tile_cols (x : Matrix.Csr.t) ~p_of ~alpha
           ~nnz:(x.row_off.(b) - x.row_off.(a));
       for r = a to b - 1 do
         let s = x.row_off.(r) and e = x.row_off.(r + 1) in
-        if e > s then p.(r) <- p_of r s e
+        p.(r) <- (if e > s then p_of r s e else 0.0)
       done);
   let t = Matrix.Tiles.layout ?tile_cols ~parts:workers x in
-  let out = Array.make x.cols 0.0 in
-  Matrix.Tiles.scatter ~pool ~credit:false t x ~p ~alpha ?beta_z ~out ();
-  out
+  Matrix.Tiles.scatter ~pool ~credit:false t x ~p ~alpha ?beta_z ~out ()
 
 let run_sparse ?pool ?variant ?tile_rows ?tile_cols (x : Matrix.Csr.t) ~p_of
-    ~alpha ~beta ~z =
+    ~alpha ~beta ~z ~out =
   (* armed fault point: only fires under the executor's recovery scope *)
   Kf_resil.Fault.check Kf_resil.Fault.Launch ~point:"host_fused.sparse";
   let pool = get_pool pool in
@@ -324,36 +335,40 @@ let run_sparse ?pool ?variant ?tile_rows ?tile_cols (x : Matrix.Csr.t) ~p_of
     | None -> choose_variant ~domains:(Par.Pool.size pool) ~cols:x.cols ()
   in
   Kf_obs.Host_stats.set_variant (variant_name variant);
-  match variant with
+  (match variant with
   | Dense_acc ->
       let beta_z = epilogue_of ~beta ~z in
       let m = sparse_dense_acc pool x ~p_of in
-      finalize_ba ~alpha ~beta_z m ~cols:x.cols
+      finalize ~alpha ~beta_z m ~out
   | Col_partition ->
       let w = sparse_col_partition pool x ~p_of in
-      Matrix.Blas.finish_pattern ~alpha ~beta ~z w
+      Array.blit (Matrix.Blas.finish_pattern ~alpha ~beta ~z w) 0 out 0 x.cols
   | Blocked ->
       let beta_z = epilogue_of ~beta ~z in
-      sparse_blocked pool ?tile_rows ?tile_cols x ~p_of ~alpha ~beta_z
+      sparse_blocked pool ?tile_rows ?tile_cols x ~p_of ~alpha ~beta_z ~out);
+  out
 
-let pattern_sparse ?pool ?variant ?tile_rows ?tile_cols ~alpha
+let pattern_sparse ?pool ?variant ?tile_rows ?tile_cols ?out ~alpha
     (x : Matrix.Csr.t) ?v y ?beta ?z () =
-  check_sparse_args x ~v ~y ~z ~name:"Host_fused.pattern_sparse";
+  let name = "Host_fused.pattern_sparse" in
+  check_sparse_args x ~v ~y ~z ~name;
+  let out = output ~name ?out ~cols:x.cols ~y ~v ~z () in
   if x.rows = 0 || x.cols = 0 || Matrix.Csr.nnz x = 0 then
-    degenerate ~alpha ~beta ~z ~cols:x.cols
+    degenerate ~alpha ~beta ~z ~out
   else
     run_sparse ?pool ?variant ?tile_rows ?tile_cols x
-      ~p_of:(sparse_row_dot x y ~v) ~alpha ~beta ~z
+      ~p_of:(sparse_row_dot x y ~v) ~alpha ~beta ~z ~out
 
 let xt_p ?pool ?variant ?tile_rows ?tile_cols ~alpha (x : Matrix.Csr.t) p =
   if Array.length p <> x.rows then
     invalid_arg "Host_fused.xt_p: p must have one element per row";
+  let out = Array.create_float x.cols in
   if x.rows = 0 || x.cols = 0 || Matrix.Csr.nnz x = 0 then
-    degenerate ~alpha ~beta:None ~z:None ~cols:x.cols
+    degenerate ~alpha ~beta:None ~z:None ~out
   else
     run_sparse ?pool ?variant ?tile_rows ?tile_cols x
       ~p_of:(fun r _s _e -> p.(r))
-      ~alpha ~beta:None ~z:None
+      ~alpha ~beta:None ~z:None ~out
 
 (* ---- dense ---- *)
 
@@ -397,29 +412,28 @@ let dense_row_scalar (x : Matrix.Dense.t) y ~v r =
   done;
   match v with None -> !acc | Some v -> !acc *. v.(r)
 
-(* Axpy of one dense row into the Bigarray accumulator, 4-way
-   unrolled. *)
-let dense_axpy_row_ba data ~base ~pr ~(w : acc) ~clo ~chi =
+(* Axpy of one dense row into the accumulator, 4-way unrolled. *)
+let dense_axpy_row data ~base ~pr ~(w : float array) ~clo ~chi =
   let c = ref clo in
   while !c + 4 <= chi do
     let c0 = !c in
-    Bigarray.Array1.unsafe_set w c0
-      (Bigarray.Array1.unsafe_get w c0
+    Array.unsafe_set w c0
+      (Array.unsafe_get w c0
       +. (Array.unsafe_get data (base + c0) *. pr));
-    Bigarray.Array1.unsafe_set w (c0 + 1)
-      (Bigarray.Array1.unsafe_get w (c0 + 1)
+    Array.unsafe_set w (c0 + 1)
+      (Array.unsafe_get w (c0 + 1)
       +. (Array.unsafe_get data (base + c0 + 1) *. pr));
-    Bigarray.Array1.unsafe_set w (c0 + 2)
-      (Bigarray.Array1.unsafe_get w (c0 + 2)
+    Array.unsafe_set w (c0 + 2)
+      (Array.unsafe_get w (c0 + 2)
       +. (Array.unsafe_get data (base + c0 + 2) *. pr));
-    Bigarray.Array1.unsafe_set w (c0 + 3)
-      (Bigarray.Array1.unsafe_get w (c0 + 3)
+    Array.unsafe_set w (c0 + 3)
+      (Array.unsafe_get w (c0 + 3)
       +. (Array.unsafe_get data (base + c0 + 3) *. pr));
     c := c0 + 4
   done;
   while !c < chi do
-    Bigarray.Array1.unsafe_set w !c
-      (Bigarray.Array1.unsafe_get w !c
+    Array.unsafe_set w !c
+      (Array.unsafe_get w !c
       +. (Array.unsafe_get data (base + !c) *. pr));
     incr c
   done
@@ -438,28 +452,20 @@ let dense_scatter_rows (x : Matrix.Dense.t) ~p_of ~w ~rlo ~rhi ~clo ~chi =
 let dense_dense_acc pool (x : Matrix.Dense.t) ~p_of =
   let workers = Par.Pool.size pool in
   let bounds = Par.Partition.uniform ~n:x.rows ~parts:workers in
-  record_accs ~count:workers ~elems:x.cols;
-  let parts =
-    Par.Pool.map_workers pool (fun wid ->
-        let w =
-          Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout x.cols
-        in
-        Bigarray.Array1.fill w 0.0;
-        if Kf_obs.Host_stats.profiling () then
-          Kf_obs.Host_stats.add_work
-            ~rows:(bounds.(wid + 1) - bounds.(wid))
-            ~nnz:((bounds.(wid + 1) - bounds.(wid)) * x.cols);
-        for r = bounds.(wid) to bounds.(wid + 1) - 1 do
-          let pr = p_of r in
-          if pr <> 0.0 then
-            dense_axpy_row_ba x.data ~base:(r * x.cols) ~pr ~w ~clo:0
-              ~chi:x.cols
-        done;
-        w)
-  in
-  let merged = Par.Pool.reduce pool ~merge:merge_add_ba parts in
-  record_merge_traffic ~workers ~cols:x.cols;
-  merged
+  let parts = dense_acc_buffers pool ~cols:x.cols in
+  Par.Pool.run_workers pool (fun wid ->
+      let w = parts.(wid) in
+      Array.fill w 0 x.cols 0.0;
+      if Kf_obs.Host_stats.profiling () then
+        Kf_obs.Host_stats.add_work
+          ~rows:(bounds.(wid + 1) - bounds.(wid))
+          ~nnz:((bounds.(wid + 1) - bounds.(wid)) * x.cols);
+      for r = bounds.(wid) to bounds.(wid + 1) - 1 do
+        let pr = p_of r in
+        if pr <> 0.0 then
+          dense_axpy_row x.data ~base:(r * x.cols) ~pr ~w ~clo:0 ~chi:x.cols
+      done);
+  merge_accs pool parts ~cols:x.cols
 
 let dense_col_partition pool (x : Matrix.Dense.t) ~p_of =
   let workers = Par.Pool.size pool in
@@ -485,9 +491,8 @@ let dense_col_partition pool (x : Matrix.Dense.t) ~p_of =
    owner-computes column-stripe gemv_t from the parallel BLAS with the
    epilogue folded into the owners' final writes. *)
 let dense_blocked pool ?tile_rows ?tile_cols (x : Matrix.Dense.t) ~p_of ~alpha
-    ~beta_z =
-  let p = Array.make x.rows 0.0 in
-  record_accs ~count:1 ~elems:x.rows;
+    ~beta_z ~out =
+  let p = Par.Pool.scratch pool Par.Pool.Rows ~wid:0 x.rows in
   let chunk =
     match tile_rows with
     | Some n when n >= 1 -> n
@@ -499,15 +504,15 @@ let dense_blocked pool ?tile_rows ?tile_cols (x : Matrix.Dense.t) ~p_of ~alpha
       for r = a to b - 1 do
         p.(r) <- p_of r
       done);
-  let out = Array.make x.cols 0.0 in
   Matrix.Blas.owner_gemv_t ~pool ?tile_rows ?tile_cols ~credit:false ~alpha
-    ?beta_z x p ~out;
-  out
+    ?beta_z x p ~out
 
-let pattern_dense ?pool ?variant ?tile_rows ?tile_cols ~alpha
+let pattern_dense ?pool ?variant ?tile_rows ?tile_cols ?out ~alpha
     (x : Matrix.Dense.t) ?v y ?beta ?z () =
-  check_dense_args x ~v ~y ~z ~name:"Host_fused.pattern_dense";
-  if x.rows = 0 || x.cols = 0 then degenerate ~alpha ~beta ~z ~cols:x.cols
+  let name = "Host_fused.pattern_dense" in
+  check_dense_args x ~v ~y ~z ~name;
+  let out = output ~name ?out ~cols:x.cols ~y ~v ~z () in
+  if x.rows = 0 || x.cols = 0 then degenerate ~alpha ~beta ~z ~out
   else begin
     Kf_resil.Fault.check Kf_resil.Fault.Launch ~point:"host_fused.dense";
     let pool = get_pool pool in
@@ -518,17 +523,18 @@ let pattern_dense ?pool ?variant ?tile_rows ?tile_cols ~alpha
     in
     Kf_obs.Host_stats.set_variant (variant_name variant);
     let p_of = dense_row_scalar x y ~v in
-    match variant with
+    (match variant with
     | Dense_acc ->
         let beta_z = epilogue_of ~beta ~z in
         let m = dense_dense_acc pool x ~p_of in
-        finalize_ba ~alpha ~beta_z m ~cols:x.cols
+        finalize ~alpha ~beta_z m ~out
     | Col_partition ->
         let w = dense_col_partition pool x ~p_of in
-        Matrix.Blas.finish_pattern ~alpha ~beta ~z w
+        Array.blit (Matrix.Blas.finish_pattern ~alpha ~beta ~z w) 0 out 0 x.cols
     | Blocked ->
         let beta_z = epilogue_of ~beta ~z in
-        dense_blocked pool ?tile_rows ?tile_cols x ~p_of ~alpha ~beta_z
+        dense_blocked pool ?tile_rows ?tile_cols x ~p_of ~alpha ~beta_z ~out);
+    out
   end
 
 (* ---- FusedMM graph kernels ------------------------------------------------ *)

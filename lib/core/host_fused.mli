@@ -9,8 +9,12 @@
       four independent locals (the manual 4-way unrolling mirrors the
       paper's [TL] register-unrolling trick) before any store;
     - {b shared memory -> per-domain buffers}: every domain owns a
-      private dense [Bigarray] accumulator for [w], the stand-in for
-      the per-block shared-memory buffer ([Dense_acc] variant);
+      private dense accumulator for [w], the stand-in for the per-block
+      shared-memory buffer ([Dense_acc] variant).  Like shared memory
+      it is provisioned once per launch configuration, not per launch:
+      the accumulators (and the blocked kernels' per-row [p]) are the
+      pool's grow-only {!Par.Pool.scratch} buffers, zero-filled per op,
+      so repeated ops of one shape allocate nothing;
     - {b global atomics -> tree merge}: per-domain buffers are combined
       by a log-depth tree reduce on the pool, the stand-in for the
       inter-block atomic sweep.
@@ -69,6 +73,7 @@ val pattern_sparse :
   ?variant:variant ->
   ?tile_rows:int ->
   ?tile_cols:int ->
+  ?out:Matrix.Vec.t ->
   alpha:float ->
   Matrix.Csr.t ->
   ?v:Matrix.Vec.t ->
@@ -85,13 +90,32 @@ val pattern_sparse :
     [variant] defaults to {!choose_variant}; [tile_rows]/[tile_cols]
     override the L2-derived {!Par.Tune} tile sizes for the blocked
     variant.  Degenerate shapes ([rows = 0], [cols = 0] or [nnz = 0])
-    return [beta * z] (or zeros) without touching the pool. *)
+    return [beta * z] (or zeros) without touching the pool.
+
+    With [out] the finished [alpha * w + beta * z] is written straight
+    into it (every element overwritten) and [out] itself is returned;
+    otherwise a fresh vector is.  Raises [Invalid_argument] if [out]
+    does not have [cols] elements or is physically one of [y], [v],
+    [z]. *)
+
+val check_out :
+  name:string ->
+  cols:int ->
+  y:Matrix.Vec.t ->
+  v:Matrix.Vec.t option ->
+  z:Matrix.Vec.t option ->
+  Matrix.Vec.t ->
+  unit
+(** The [out] validation of {!pattern_sparse}: raises
+    [Invalid_argument] (prefixed by [name]) unless the vector has
+    [cols] elements and is physically none of [y], [v], [z]. *)
 
 val pattern_dense :
   ?pool:Par.Pool.t ->
   ?variant:variant ->
   ?tile_rows:int ->
   ?tile_cols:int ->
+  ?out:Matrix.Vec.t ->
   alpha:float ->
   Matrix.Dense.t ->
   ?v:Matrix.Vec.t ->
@@ -101,7 +125,8 @@ val pattern_dense :
   unit ->
   Matrix.Vec.t
 (** Dense-row analogue of {!pattern_sparse} (Algorithm 3's structure:
-    one streaming pass over [X], partials kept local). *)
+    one streaming pass over [X], partials kept local), with the same
+    [out] contract. *)
 
 val xt_p :
   ?pool:Par.Pool.t ->

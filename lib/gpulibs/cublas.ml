@@ -90,18 +90,20 @@ let gemv_t device (x : Matrix.Dense.t) p =
   in
   (result, [ report ])
 
-let axpy device a x y =
+let axpy_inplace device a x y =
   let n = Array.length x in
   if Array.length y <> n then invalid_arg "Cublas.axpy: dimension mismatch";
-  let result, report =
+  let (), report =
     Sim.run device (vector_launch n) ~name:"cublas_daxpy" (fun ctx ->
         charge_vector_stream ctx ~loads_elts:(2 * n) ~stores_elts:n;
         Sim.flops ctx (2 * n);
-        let out = Array.copy y in
-        Matrix.Vec.axpy a x out;
-        out)
+        Matrix.Vec.axpy a x y)
   in
-  (result, [ report ])
+  [ report ]
+
+let axpy device a x y =
+  let out = Array.copy y in
+  (out, axpy_inplace device a x out)
 
 let dot device x y =
   let n = Array.length x in
@@ -123,15 +125,19 @@ let nrm2 device x =
   let result, reports = dot device x x in
   (sqrt result, reports)
 
-let scal device a x =
+let scal_inplace device a x =
   let n = Array.length x in
-  let result, report =
+  let (), report =
     Sim.run device (vector_launch n) ~name:"cublas_dscal" (fun ctx ->
         charge_vector_stream ctx ~loads_elts:n ~stores_elts:n;
         Sim.flops ctx n;
-        Matrix.Vec.scale a x)
+        Matrix.Vec.scal a x)
   in
-  (result, [ report ])
+  [ report ]
+
+let scal device a x =
+  let out = Array.copy x in
+  (out, scal_inplace device a out)
 
 let copy device x =
   let n = Array.length x in

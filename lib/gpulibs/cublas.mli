@@ -21,13 +21,22 @@ val gemv_t : Device.t -> Matrix.Dense.t -> Matrix.Vec.t -> Matrix.Vec.t * Sim.re
 (** {1 Level 1} *)
 
 val axpy : Device.t -> float -> Matrix.Vec.t -> Matrix.Vec.t -> Matrix.Vec.t * Sim.report list
-(** [axpy d a x y] returns [a*x + y] (non-destructive, unlike the BLAS). *)
+(** [axpy d a x y] returns [a*x + y] (non-destructive, unlike the BLAS):
+    a copy of [y] updated by {!axpy_inplace}, with the same charge. *)
+
+val axpy_inplace : Device.t -> float -> Matrix.Vec.t -> Matrix.Vec.t -> Sim.report list
+(** [axpy_inplace d a x y] is the BLAS [daxpy]: [y <- a*x + y]. *)
 
 val dot : Device.t -> Matrix.Vec.t -> Matrix.Vec.t -> float * Sim.report list
 
 val nrm2 : Device.t -> Matrix.Vec.t -> float * Sim.report list
 
 val scal : Device.t -> float -> Matrix.Vec.t -> Matrix.Vec.t * Sim.report list
+(** [scal d a x] returns [a*x]: a copy of [x] scaled by
+    {!scal_inplace}, with the same charge. *)
+
+val scal_inplace : Device.t -> float -> Matrix.Vec.t -> Sim.report list
+(** [scal_inplace d a x] is the BLAS [dscal]: [x <- a*x]. *)
 
 val copy : Device.t -> Matrix.Vec.t -> Matrix.Vec.t * Sim.report list
 

@@ -177,7 +177,7 @@ let par_gemv ?pool (x : Dense.t) y =
   out
 
 (* Owner-computes dense X^T p: each worker owns a uniform column stripe
-   [c_lo, c_hi), accumulates into a stripe-local Bigarray walking its
+   [c_lo, c_hi), accumulates into its own [Acc] scratch buffer walking its
    column tiles over row blocks (so the streamed X block plus the w
    tile stay in L2), and writes only its own slice of the result —
    optionally folding the pattern epilogue [alpha * w + beta * z] into
@@ -200,8 +200,11 @@ let owner_gemv_t ~pool ?tile_rows ?tile_cols ~credit ~alpha ?beta_z
   let cb = Par.Partition.uniform ~n:x.cols ~parts:workers in
   let rb = Par.Partition.uniform ~n:x.rows ~parts:workers in
   let data = x.data and cols = x.cols and rows = x.rows in
+  let stripes =
+    Array.init workers (fun wid ->
+        Par.Pool.scratch pool Par.Pool.Acc ~wid (cb.(wid + 1) - cb.(wid)))
+  in
   if Kf_obs.Host_stats.profiling () then begin
-    Kf_obs.Host_stats.record_alloc ~bytes:(8 * cols);
     Kf_obs.Host_stats.record_tiles
       ~count:(Stdlib.max workers ((cols + tcols - 1) / tcols));
     Kf_obs.Host_stats.record_merge_bytes_saved
@@ -211,10 +214,8 @@ let owner_gemv_t ~pool ?tile_rows ?tile_cols ~credit ~alpha ?beta_z
       let c_lo = cb.(wid) and c_hi = cb.(wid + 1) in
       let width = c_hi - c_lo in
       if width > 0 then begin
-        let w =
-          Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout width
-        in
-        Bigarray.Array1.fill w 0.0;
+        let w = stripes.(wid) in
+        Array.fill w 0 width 0.0;
         if credit && Kf_obs.Host_stats.profiling () then
           Kf_obs.Host_stats.add_work
             ~rows:(rb.(wid + 1) - rb.(wid))
@@ -233,24 +234,24 @@ let owner_gemv_t ~pool ?tile_rows ?tile_cols ~credit ~alpha ?beta_z
                 while !c + 4 <= ct_hi do
                   let c0 = !c in
                   let j0 = c0 - c_lo in
-                  Bigarray.Array1.unsafe_set w j0
-                    (Bigarray.Array1.unsafe_get w j0
+                  Array.unsafe_set w j0
+                    (Array.unsafe_get w j0
                     +. (Array.unsafe_get data (base + c0) *. pr));
-                  Bigarray.Array1.unsafe_set w (j0 + 1)
-                    (Bigarray.Array1.unsafe_get w (j0 + 1)
+                  Array.unsafe_set w (j0 + 1)
+                    (Array.unsafe_get w (j0 + 1)
                     +. (Array.unsafe_get data (base + c0 + 1) *. pr));
-                  Bigarray.Array1.unsafe_set w (j0 + 2)
-                    (Bigarray.Array1.unsafe_get w (j0 + 2)
+                  Array.unsafe_set w (j0 + 2)
+                    (Array.unsafe_get w (j0 + 2)
                     +. (Array.unsafe_get data (base + c0 + 2) *. pr));
-                  Bigarray.Array1.unsafe_set w (j0 + 3)
-                    (Bigarray.Array1.unsafe_get w (j0 + 3)
+                  Array.unsafe_set w (j0 + 3)
+                    (Array.unsafe_get w (j0 + 3)
                     +. (Array.unsafe_get data (base + c0 + 3) *. pr));
                   c := c0 + 4
                 done;
                 while !c < ct_hi do
                   let j = !c - c_lo in
-                  Bigarray.Array1.unsafe_set w j
-                    (Bigarray.Array1.unsafe_get w j
+                  Array.unsafe_set w j
+                    (Array.unsafe_get w j
                     +. (Array.unsafe_get data (base + !c) *. pr));
                   incr c
                 done
@@ -264,12 +265,12 @@ let owner_gemv_t ~pool ?tile_rows ?tile_cols ~credit ~alpha ?beta_z
         | None ->
             for c = c_lo to c_hi - 1 do
               Array.unsafe_set out c
-                (alpha *. Bigarray.Array1.unsafe_get w (c - c_lo))
+                (alpha *. Array.unsafe_get w (c - c_lo))
             done
         | Some (beta, z) ->
             for c = c_lo to c_hi - 1 do
               Array.unsafe_set out c
-                ((alpha *. Bigarray.Array1.unsafe_get w (c - c_lo))
+                ((alpha *. Array.unsafe_get w (c - c_lo))
                 +. (beta *. Array.unsafe_get z c))
             done
       end)

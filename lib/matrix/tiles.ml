@@ -144,11 +144,12 @@ let layout ?tile_cols ?(parts = 1) (x : Csr.t) =
 
 (* Scatter executor: out.(c) = alpha * (X^T p).(c) [+ beta * z.(c)]
    over this layout, each worker walking only the segments of its owned
-   tiles.  The accumulator [w] lives in a Bigarray — unsafe_get/set
-   compile to raw loads/stores with no write barrier — and the inner
-   loop is manually unrolled 4-wide, the host mirror of the paper's TL
-   register-unrolling trick (Section 3.3): four independent
-   multiply-adds per iteration to hide load latency. *)
+   tiles.  The accumulator [w] is the pool's [Acc] scratch — a flat
+   float array, so unsafe_get/set compile to raw loads/stores with no
+   write barrier — and the inner loop is manually unrolled 4-wide, the
+   host mirror of the paper's TL register-unrolling trick (Section
+   3.3): four independent multiply-adds per iteration to hide load
+   latency. *)
 
 let scatter ?pool ?(credit = false) t (x : Csr.t) ~p ~alpha ?beta_z ~out () =
   if t.cols <> x.cols then invalid_arg "Tiles.scatter: layout/matrix mismatch";
@@ -158,12 +159,11 @@ let scatter ?pool ?(credit = false) t (x : Csr.t) ~p ~alpha ?beta_z ~out () =
     let pool = match pool with Some p -> p | None -> Par.Pool.default () in
     let workers = Par.Pool.size pool in
     let tb = Par.Partition.by_weights ~weights:t.tile_nnz ~parts:workers () in
-    let w =
-      Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout x.cols
-    in
+    (* one full-width buffer shared by the owners, each touching only
+       its own slice *)
+    let w = Par.Pool.scratch pool Par.Pool.Acc ~wid:0 x.cols in
     let profiling = Kf_obs.Host_stats.profiling () in
     if profiling then begin
-      Kf_obs.Host_stats.record_alloc ~bytes:(8 * x.cols);
       Kf_obs.Host_stats.record_tiles ~count:t.n_tiles;
       (* what the per-domain dense accumulators would have cost: one
          full-width array per extra domain, and a tree merge reading
@@ -183,9 +183,7 @@ let scatter ?pool ?(credit = false) t (x : Csr.t) ~p ~alpha ?beta_z ~out () =
         let t_lo = tb.(wid) and t_hi = tb.(wid + 1) in
         let c_lo = Stdlib.min x.cols (t_lo * tw) in
         let c_hi = Stdlib.min x.cols (t_hi * tw) in
-        for c = c_lo to c_hi - 1 do
-          Bigarray.Array1.unsafe_set w c 0.0
-        done;
+        if c_hi > c_lo then Array.fill w c_lo (c_hi - c_lo) 0.0;
         if credit && profiling then begin
           let nnz = ref 0 in
           for tile = t_lo to t_hi - 1 do
@@ -211,20 +209,16 @@ let scatter ?pool ?(credit = false) t (x : Csr.t) ~p ~alpha ?beta_z ~out () =
                 and v2 = Array.unsafe_get values (i0 + 2) in
                 let c3 = Array.unsafe_get col_idx (i0 + 3)
                 and v3 = Array.unsafe_get values (i0 + 3) in
-                Bigarray.Array1.unsafe_set w c0
-                  (Bigarray.Array1.unsafe_get w c0 +. (v0 *. pr));
-                Bigarray.Array1.unsafe_set w c1
-                  (Bigarray.Array1.unsafe_get w c1 +. (v1 *. pr));
-                Bigarray.Array1.unsafe_set w c2
-                  (Bigarray.Array1.unsafe_get w c2 +. (v2 *. pr));
-                Bigarray.Array1.unsafe_set w c3
-                  (Bigarray.Array1.unsafe_get w c3 +. (v3 *. pr));
+                Array.unsafe_set w c0 (Array.unsafe_get w c0 +. (v0 *. pr));
+                Array.unsafe_set w c1 (Array.unsafe_get w c1 +. (v1 *. pr));
+                Array.unsafe_set w c2 (Array.unsafe_get w c2 +. (v2 *. pr));
+                Array.unsafe_set w c3 (Array.unsafe_get w c3 +. (v3 *. pr));
                 i := i0 + 4
               done;
               while !i < hi do
                 let c = Array.unsafe_get col_idx !i in
-                Bigarray.Array1.unsafe_set w c
-                  (Bigarray.Array1.unsafe_get w c
+                Array.unsafe_set w c
+                  (Array.unsafe_get w c
                   +. (Array.unsafe_get values !i *. pr));
                 incr i
               done
@@ -238,12 +232,12 @@ let scatter ?pool ?(credit = false) t (x : Csr.t) ~p ~alpha ?beta_z ~out () =
         | None ->
             for c = c_lo to c_hi - 1 do
               Array.unsafe_set out c
-                (alpha *. Bigarray.Array1.unsafe_get w c)
+                (alpha *. Array.unsafe_get w c)
             done
         | Some (beta, z) ->
             for c = c_lo to c_hi - 1 do
               Array.unsafe_set out c
-                ((alpha *. Bigarray.Array1.unsafe_get w c)
+                ((alpha *. Array.unsafe_get w c)
                 +. (beta *. Array.unsafe_get z c))
             done))
   end

@@ -44,8 +44,9 @@ val scatter :
 (** [scatter t x ~p ~alpha ?beta_z ~out ()] computes
     [out.(c) = alpha * (X^T p).(c) (+ beta * z.(c))] in parallel over
     the pool, each worker scattering only the tiles it owns (weighted
-    by nnz via {!Par.Partition.by_weights}) into a [Bigarray]
-    accumulator with a 4-way unrolled unsafe inner loop, then folding
+    by nnz via {!Par.Partition.by_weights}) into the pool's
+    {!Par.Pool.scratch} accumulator with a 4-way unrolled unsafe inner
+    loop, then folding
     [alpha]/[beta*z] into its final write of the owned slice.  [out]
     is fully overwritten.  [credit] (default false) makes workers
     credit rows/nnz to {!Kf_obs.Host_stats} — callers that already

@@ -42,19 +42,39 @@ let sum x =
   done;
   !acc
 
+(* The element-wise builders below loop over [Array.create_float]
+   rather than going through [Array.init]/[Array.map], whose closure
+   call boxes every element. *)
 let mul_elementwise v p =
   check_same_length "mul_elementwise" v p;
-  Array.init (Array.length v) (fun i -> v.(i) *. p.(i))
+  let out = Array.create_float (Array.length v) in
+  for i = 0 to Array.length v - 1 do
+    Array.unsafe_set out i (Array.unsafe_get v i *. Array.unsafe_get p i)
+  done;
+  out
 
 let add x y =
   check_same_length "add" x y;
-  Array.init (Array.length x) (fun i -> x.(i) +. y.(i))
+  let out = Array.create_float (Array.length x) in
+  for i = 0 to Array.length x - 1 do
+    Array.unsafe_set out i (Array.unsafe_get x i +. Array.unsafe_get y i)
+  done;
+  out
 
 let sub x y =
   check_same_length "sub" x y;
-  Array.init (Array.length x) (fun i -> x.(i) -. y.(i))
+  let out = Array.create_float (Array.length x) in
+  for i = 0 to Array.length x - 1 do
+    Array.unsafe_set out i (Array.unsafe_get x i -. Array.unsafe_get y i)
+  done;
+  out
 
-let scale a x = Array.map (fun xi -> a *. xi) x
+let scale a x =
+  let out = Array.create_float (Array.length x) in
+  for i = 0 to Array.length x - 1 do
+    Array.unsafe_set out i (a *. Array.unsafe_get x i)
+  done;
+  out
 
 let max_abs_diff x y =
   check_same_length "max_abs_diff" x y;

@@ -11,67 +11,71 @@ type result = {
   timeline : Session.iteration list;
 }
 
-let fit ?engine ?cluster ?(max_iterations = 100) ?(tolerance = 1e-6)
+let fit ?engine ?pool ?cluster ?(max_iterations = 100) ?(tolerance = 1e-6)
     ?(eps = 0.001)
     ?checkpoint ?ckpt_meta ?resume device input ~targets =
   if Array.length targets <> Fusion.Executor.rows input then
     invalid_arg "Linreg_cg.fit: one target per row required";
-  let session = Session.create ?engine ?cluster device ~algorithm:"LR" in
+  let session = Session.create ?engine ?pool ?cluster device ~algorithm:"LR" in
   (match checkpoint with
   | Some (path, every) ->
       Session.set_checkpoint ?meta:ckpt_meta session ~path ~every
   | None -> ());
   Kf_obs.Trace.with_span "fit.LR" @@ fun () ->
   let n = Fusion.Executor.cols input in
-  let w = ref (Vec.create n) in
-  let r = ref [||] and p = ref [||] in
-  let nr2 = ref 0.0 and nr2_target = ref 0.0 in
-  let i = ref 0 in
-  (match resume with
-  | Some path ->
-      let st = Session.resume session ~path in
-      w := Kf_resil.Ckpt.get_floats st "lr.w";
-      r := Kf_resil.Ckpt.get_floats st "lr.r";
-      p := Kf_resil.Ckpt.get_floats st "lr.p";
-      nr2 := Kf_resil.Ckpt.get_float st "lr.nr2";
-      nr2_target := Kf_resil.Ckpt.get_float st "lr.nr2_target";
-      i := Kf_resil.Ckpt.get_int st "lr.i"
-  | None ->
-      (* r = -(X^T t);  p = -r *)
-      let r0 = Session.xt_y session input targets ~alpha:(-1.0) in
-      r := r0;
-      p := Session.scal session (-1.0) r0;
-      nr2 := Session.dot session r0 r0;
-      (* derived before the loop, so it must be checkpointed, not
-         recomputed: resuming re-derives nothing *)
-      nr2_target := !nr2 *. tolerance *. tolerance);
+  (* w, r and p are allocated here once and then updated in place, and
+     q has one buffer the pattern writes into, so a steady-state
+     iteration allocates no vector.  The in-place operations run in the
+     copying forms' order, so the bits are the same. *)
+  let w, r, p, nr2, nr2_target, i =
+    match resume with
+    | Some path ->
+        let st = Session.resume session ~path in
+        ( Kf_resil.Ckpt.get_floats st "lr.w",
+          Kf_resil.Ckpt.get_floats st "lr.r",
+          Kf_resil.Ckpt.get_floats st "lr.p",
+          Kf_resil.Ckpt.get_float st "lr.nr2",
+          Kf_resil.Ckpt.get_float st "lr.nr2_target",
+          Kf_resil.Ckpt.get_int st "lr.i" )
+    | None ->
+        (* r = -(X^T t);  p = -r *)
+        let r = Session.xt_y session input targets ~alpha:(-1.0) in
+        let p = Session.scal session (-1.0) r in
+        let nr2 = Session.dot session r r in
+        (* derived before the loop, so it must be checkpointed, not
+           recomputed: resuming re-derives nothing *)
+        (Vec.create n, r, p, nr2, nr2 *. tolerance *. tolerance, 0)
+  in
+  let nr2 = ref nr2 and i = ref i in
+  let q = Vec.create n in
   Session.set_state_fn session (fun () ->
       [
-        ("lr.w", Kf_resil.Ckpt.Floats !w);
-        ("lr.r", Kf_resil.Ckpt.Floats !r);
-        ("lr.p", Kf_resil.Ckpt.Floats !p);
+        ("lr.w", Kf_resil.Ckpt.Floats w);
+        ("lr.r", Kf_resil.Ckpt.Floats r);
+        ("lr.p", Kf_resil.Ckpt.Floats p);
         ("lr.nr2", Kf_resil.Ckpt.Float !nr2);
-        ("lr.nr2_target", Kf_resil.Ckpt.Float !nr2_target);
+        ("lr.nr2_target", Kf_resil.Ckpt.Float nr2_target);
         ("lr.i", Kf_resil.Ckpt.Int !i);
       ]);
-  while !i < max_iterations && !nr2 > !nr2_target do
+  let beta_z = if eps = 0.0 then None else Some (eps, p) in
+  while !i < max_iterations && !nr2 > nr2_target do
     Session.iteration session (fun () ->
         (* q = X^T (X p) + eps * p — the pattern of Table 1 row 4; an
            unregularised solve (eps = 0) degrades to plain X^T(Xy). *)
-        let beta_z = if eps = 0.0 then None else Some (eps, !p) in
-        let q = Session.pattern session input ~y:!p ?beta_z ~alpha:1.0 () in
-        let alpha = !nr2 /. Session.dot session !p q in
-        w := Session.axpy session alpha !p !w;
+        Session.pattern_into session input ~out:q ~y:p ?beta_z ~alpha:1.0 ();
+        let alpha = !nr2 /. Session.dot session p q in
+        Session.axpy_inplace session alpha p w;
         let old_nr2 = !nr2 in
-        r := Session.axpy session alpha q !r;
-        nr2 := Session.dot session !r !r;
+        Session.axpy_inplace session alpha q r;
+        nr2 := Session.dot session r r;
         let beta = !nr2 /. old_nr2 in
         (* p = -r + beta * p *)
-        p := Session.axpy session (-1.0) !r (Session.scal session beta !p);
+        Session.scal_inplace session beta p;
+        Session.axpy_inplace session (-1.0) r p;
         incr i)
   done;
   {
-    weights = !w;
+    weights = w;
     iterations = !i;
     residual_norm = !nr2;
     gpu_ms = Session.gpu_ms session;

@@ -19,6 +19,7 @@ type result = {
 
 val fit :
   ?engine:Fusion.Executor.engine ->
+  ?pool:Par.Pool.t ->
   ?cluster:Kf_dist.Cluster.t ->
   ?max_iterations:int ->
   ?tolerance:float ->
@@ -37,7 +38,8 @@ val fit :
     [every]-th CG iteration; [resume:path] restores the full solver
     state (w, r, p, residual norms, iteration counter, pattern trace)
     bit-exactly, so a resumed run converges to the identical model.
-    [ckpt_meta] fields ride in each checkpoint unchanged. *)
+    [ckpt_meta] fields ride in each checkpoint unchanged.  [pool] and
+    [cluster] are passed to {!Session.create}. *)
 
 (** CPU reference execution with wall-clock time bucketed by operation
     class — the measurement behind Table 2. *)

@@ -103,6 +103,12 @@ let pattern t input ~y ?v ?beta_z ~alpha () =
     (Fusion.Executor.pattern ~engine:t.engine ?pool:t.pool ?cluster:t.cluster
        t.device input ~y ?v ?beta_z ~alpha ())
 
+let pattern_into t input ~out ~y ?v ?beta_z ~alpha () =
+  ignore
+    (absorb_result t
+       (Fusion.Executor.pattern ~engine:t.engine ?pool:t.pool
+          ?cluster:t.cluster ~out t.device input ~y ?v ?beta_z ~alpha ()))
+
 let x_y t input y =
   absorb_result t
     (Fusion.Executor.x_y ~engine:t.engine ?pool:t.pool ?cluster:t.cluster
@@ -136,34 +142,54 @@ let fusedmm ?semiring t inst g h =
        (Fusion.Executor.fusedmm ~engine:t.engine ?pool:t.pool ?semiring
           t.device inst g h))
 
-let absorb_level1 t reports =
-  t.gpu_ms <- t.gpu_ms +. Sim.total_ms reports;
-  t.launches <- t.launches + List.length reports
+(* Level-1 work is charged to the simulated device only on the engines
+   that simulate one.  [Host] and [Dist] run it as the plain host loops
+   of [Matrix.Vec] (the same arithmetic cuBLAS is modelled with), which
+   add nothing to [gpu_ms] or [launches]: their time line stays pure
+   measured wall-clock. *)
+let level1 t ~sim ~host =
+  match t.engine with
+  | Fusion.Executor.Fused | Fusion.Executor.Library ->
+      let r, reports = sim t.device in
+      t.gpu_ms <- t.gpu_ms +. Sim.total_ms reports;
+      t.launches <- t.launches + List.length reports;
+      r
+  | Fusion.Executor.Host | Fusion.Executor.Dist -> host ()
 
 let dot t x y =
-  let r, reports = Gpulibs.Cublas.dot t.device x y in
-  absorb_level1 t reports;
-  r
+  level1 t
+    ~sim:(fun d -> Gpulibs.Cublas.dot d x y)
+    ~host:(fun () -> Matrix.Vec.dot x y)
 
 let nrm2 t x =
-  let r, reports = Gpulibs.Cublas.nrm2 t.device x in
-  absorb_level1 t reports;
-  r
+  level1 t
+    ~sim:(fun d -> Gpulibs.Cublas.nrm2 d x)
+    ~host:(fun () -> Matrix.Vec.nrm2 x)
+
+let axpy_inplace t a x y =
+  level1 t
+    ~sim:(fun d -> ((), Gpulibs.Cublas.axpy_inplace d a x y))
+    ~host:(fun () -> Matrix.Vec.axpy a x y)
+
+let scal_inplace t a x =
+  level1 t
+    ~sim:(fun d -> ((), Gpulibs.Cublas.scal_inplace d a x))
+    ~host:(fun () -> Matrix.Vec.scal a x)
 
 let axpy t a x y =
-  let r, reports = Gpulibs.Cublas.axpy t.device a x y in
-  absorb_level1 t reports;
-  r
+  let out = Array.copy y in
+  axpy_inplace t a x out;
+  out
 
 let scal t a x =
-  let r, reports = Gpulibs.Cublas.scal t.device a x in
-  absorb_level1 t reports;
-  r
+  let out = Array.copy x in
+  scal_inplace t a out;
+  out
 
 let mul_elementwise t v p =
-  let r, reports = Gpulibs.Cublas.mul_elementwise t.device v p in
-  absorb_level1 t reports;
-  r
+  level1 t
+    ~sim:(fun d -> Gpulibs.Cublas.mul_elementwise d v p)
+    ~host:(fun () -> Matrix.Vec.mul_elementwise v p)
 
 (* --- checkpoint/restore --------------------------------------------------- *)
 

@@ -103,6 +103,20 @@ val pattern :
   unit ->
   Matrix.Vec.t
 
+val pattern_into :
+  t ->
+  Fusion.Executor.input ->
+  out:Matrix.Vec.t ->
+  y:Matrix.Vec.t ->
+  ?v:Matrix.Vec.t ->
+  ?beta_z:float * Matrix.Vec.t ->
+  alpha:float ->
+  unit ->
+  unit
+(** {!pattern} writing its result into the caller-owned [out] (see
+    [Fusion.Executor.pattern]'s [?out]): same values, same accounting,
+    no result vector allocated on the [Host] engine. *)
+
 val x_y : t -> Fusion.Executor.input -> Matrix.Vec.t -> Matrix.Vec.t
 
 (** {1 Graph operations} (traced through family-generic descriptors —
@@ -135,24 +149,40 @@ val fusedmm :
   Matrix.Dense.t
 (** The fused SDDMM ⊕ SpMM chain without materialising [S]. *)
 
-(** {1 Level-1 operations} (timed, not traced — they are outside the
-    pattern, the "BLAS-Level 1" column of Table 2) *)
+(** {1 Level-1 operations} (not traced — they are outside the pattern,
+    the "BLAS-Level 1" column of Table 2)
+
+    On the simulated engines ([Fused], [Library]) each op is a cuBLAS
+    launch whose modelled time and launch count are charged to
+    {!gpu_ms} and {!launches}.  On [Host] and [Dist] they run as plain
+    [Matrix.Vec] loops and charge nothing, so those engines' {!gpu_ms}
+    is measured executor wall-clock only.  The results are the same on
+    every engine, bit for bit. *)
 
 val dot : t -> Matrix.Vec.t -> Matrix.Vec.t -> float
 
 val nrm2 : t -> Matrix.Vec.t -> float
 
 val axpy : t -> float -> Matrix.Vec.t -> Matrix.Vec.t -> Matrix.Vec.t
-(** Non-destructive [a*x + y]. *)
+(** Non-destructive [a*x + y]: {!axpy_inplace} on a copy of [y]. *)
+
+val axpy_inplace : t -> float -> Matrix.Vec.t -> Matrix.Vec.t -> unit
+(** [axpy_inplace t a x y] is [y <- a*x + y]. *)
 
 val scal : t -> float -> Matrix.Vec.t -> Matrix.Vec.t
+(** Non-destructive [a*x]: {!scal_inplace} on a copy of [x]. *)
+
+val scal_inplace : t -> float -> Matrix.Vec.t -> unit
+(** [scal_inplace t a x] is [x <- a*x]. *)
 
 val mul_elementwise : t -> Matrix.Vec.t -> Matrix.Vec.t -> Matrix.Vec.t
 
 (** {1 Accounting} *)
 
 val gpu_ms : t -> float
-(** Total simulated device time issued through this session. *)
+(** Total device time issued through this session: simulated ms on the
+    simulated engines, measured executor wall-clock ms on [Host] and
+    [Dist] (which charge no level-1 time, see above). *)
 
 val pattern_ms : t -> float
 (** The share spent in pattern operations (vs Level-1). *)

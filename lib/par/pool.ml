@@ -16,7 +16,11 @@ type t = {
   mutable stopping : bool;
   mutable domains : unit Domain.t list;
   is_default : bool;
+  acc_scratch : float array array;  (* per worker, grow-only *)
+  rows_scratch : float array array;
 }
+
+type slot = Acc | Rows
 
 let max_size = 128
 
@@ -83,6 +87,8 @@ let make ~size ~is_default =
       stopping = false;
       domains = [];
       is_default;
+      acc_scratch = Array.make size [||];
+      rows_scratch = Array.make size [||];
     }
   in
   t.domains <-
@@ -112,7 +118,9 @@ let shutdown t =
   Condition.broadcast t.work_ready;
   Mutex.unlock t.m;
   List.iter Domain.join t.domains;
-  t.domains <- []
+  t.domains <- [];
+  Array.fill t.acc_scratch 0 t.size [||];
+  Array.fill t.rows_scratch 0 t.size [||]
 
 let run_workers_plain t f =
   if t.size = 1 then f 0
@@ -184,6 +192,19 @@ let run_workers t f =
         ~wall_ns:(Kf_obs.Clock.now_ns () - t0)
         ~busy_ns:busy
   end
+
+(* Grow-only: a buffer is replaced only by a longer one, so an op whose
+   shape was seen before reuses it as is.  Growth happens here, on the
+   coordinator, before the job is submitted — workers only index into
+   buffers that already exist, and the Host_stats allocation tally stays
+   single-writer. *)
+let scratch t slot ~wid n =
+  let bufs = match slot with Acc -> t.acc_scratch | Rows -> t.rows_scratch in
+  if Array.length bufs.(wid) < n then begin
+    bufs.(wid) <- Array.create_float n;
+    Kf_obs.Host_stats.record_alloc ~bytes:(8 * n)
+  end;
+  bufs.(wid)
 
 let map_workers t f =
   let out = Array.make t.size None in

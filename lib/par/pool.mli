@@ -31,8 +31,8 @@ val default : unit -> t
     use when no explicit pool is given. *)
 
 val shutdown : t -> unit
-(** Join and discard the worker domains.  The pool must not be used
-    afterwards.  Shutting down the {!default} pool is not allowed
+(** Join and discard the worker domains and release the scratch
+    buffers.  The pool must not be used afterwards.  Shutting down the {!default} pool is not allowed
     (raises [Invalid_argument]); it lives for the process. *)
 
 val run_workers : t -> (int -> unit) -> unit
@@ -51,6 +51,33 @@ val parallel_for : t -> ?chunk:int -> lo:int -> hi:int -> (int -> int -> unit) -
     workers (an atomic counter stands in for the GPU's block scheduler).
     [chunk] bounds the chunk size; the default aims at 4 chunks per
     worker.  Sequential when [size = 1] or the range is small. *)
+
+(** {1 Scratch workspace}
+
+    Each worker owns grow-only float buffers, one per {!slot}: the host
+    analogue of per-block shared memory.  Kernels take their
+    accumulators and intermediates from here instead of allocating them
+    per op, so a steady state of repeated shapes allocates nothing.
+
+    The scratch follows the pool's single-submitter contract: buffers
+    are fetched (and grown) by the one coordinating domain before it
+    submits a job, and a job's workers then use them without locks.
+    Ops on one pool never overlap, so one op's buffers are free for the
+    next.  A buffer is only ever replaced by a longer one: the pool
+    holds the largest op's buffers until {!shutdown}. *)
+
+type slot =
+  | Acc  (** column-wide accumulators *)
+  | Rows  (** per-row intermediates, e.g. the blocked kernels' [p] *)
+
+val scratch : t -> slot -> wid:int -> int -> float array
+(** [scratch t slot ~wid n] is worker [wid]'s [slot] buffer, at least
+    [n] long.  It is replaced by a fresh [n]-element buffer when shorter
+    (recorded as one accumulator allocation in the ambient
+    {!Kf_obs.Host_stats} sink), otherwise returned as is.  The contents
+    are whatever the previous user left: callers zero-fill the prefix
+    they use and must not rely on [Array.length].  Call from the
+    coordinating domain only, never from inside a job. *)
 
 val reduce : t -> merge:(dst:'a -> src:'a -> unit) -> 'a array -> 'a
 (** [reduce t ~merge parts] combines per-worker partial results with a

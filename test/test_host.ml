@@ -345,6 +345,177 @@ let test_session_host_lr () =
   Alcotest.(check bool) "host wall-clock accumulated" true
     (host.Kf_ml.Linreg_cg.gpu_ms >= 0.0)
 
+(* ---- the pool's scratch workspace ---------------------------------------- *)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* One op of the workspace sequence: a sparse or dense input of the
+   given shape, run by [variant] on [pool] and by the sequential
+   reference. *)
+let workspace_op ~pool ~variant ~seed ~rows ~cols ~dense ~with_v ~with_bz =
+  let rng = Rng.create seed in
+  let y = Gen.vector rng cols in
+  let v = if with_v then Some (Gen.vector rng rows) else None in
+  let beta = if with_bz then Some 0.25 else None in
+  let z = if with_bz then Some (Gen.vector rng cols) else None in
+  if dense then
+    let x = Gen.dense rng ~rows ~cols in
+    ( Blas.pattern_dense ~alpha:1.5 x ?v y ?beta ?z (),
+      Fusion.Host_fused.pattern_dense ~pool ~variant ~alpha:1.5 x ?v y ?beta
+        ?z () )
+  else
+    let x = Gen.sparse_uniform rng ~rows ~cols ~density:0.15 in
+    ( Blas.pattern_sparse ~alpha:1.5 x ?v y ?beta ?z (),
+      Fusion.Host_fused.pattern_sparse ~pool ~variant ~alpha:1.5 x ?v y ?beta
+        ?z () )
+
+(* A sequence of ops on the same pools whose column counts alternate
+   between wide and narrow, so every op after the first reuses scratch
+   left behind by a differently shaped one: stale accumulator or [p]
+   contents would show up as a wrong result. *)
+let test_workspace_alternating_shapes =
+  QCheck.Test.make ~count:25
+    ~name:"scratch reuse across alternating shapes stays exact"
+    QCheck.(
+      make
+        ~print:(fun ops ->
+          String.concat "; "
+            (List.map
+               (fun (seed, rows, cols, dense, blocked, v, bz) ->
+                 Printf.sprintf "seed=%d %dx%d dense=%b blocked=%b v=%b bz=%b"
+                   seed rows cols dense blocked v bz)
+               ops))
+        Gen.(
+          let op i =
+            let* seed = int_bound 10_000 in
+            let* rows = int_range 1 90 in
+            let* cols =
+              if i mod 2 = 0 then int_range 30 70 else int_range 1 20
+            in
+            let* dense = bool in
+            let* blocked = bool in
+            let* v = bool in
+            let* bz = bool in
+            return (seed, rows, cols, dense, blocked, v, bz)
+          in
+          let* n = int_range 2 8 in
+          flatten_l (List.init n op)))
+    (fun ops ->
+      List.for_all
+        (fun (d, pool) ->
+          List.for_all
+            (fun (seed, rows, cols, dense, blocked, with_v, with_bz) ->
+              let variant =
+                if blocked then Fusion.Host_fused.Blocked
+                else Fusion.Host_fused.Dense_acc
+              in
+              let reference, w =
+                workspace_op ~pool ~variant ~seed ~rows ~cols ~dense ~with_v
+                  ~with_bz
+              in
+              close
+                ~what:
+                  (Printf.sprintf "d=%d %s %dx%d" d
+                     (Fusion.Host_fused.variant_name variant)
+                     rows cols)
+                reference w)
+            ops)
+        (pools ()))
+
+(* Repeating an op whose shape the pool has already served allocates
+   no accumulator; a fresh pool records its first growth. *)
+let test_workspace_steady_state () =
+  List.iter
+    (fun d ->
+      let pool = Par.Pool.create ~size:d () in
+      Fun.protect
+        ~finally:(fun () -> Par.Pool.shutdown pool)
+        (fun () ->
+          List.iter
+            (fun (dense, variant) ->
+              let allocs ~rows ~cols =
+                let stats = Kf_obs.Host_stats.create ~domains:d in
+                Kf_obs.Host_stats.with_sink stats (fun () ->
+                    ignore
+                      (workspace_op ~pool ~variant ~seed:3 ~rows ~cols ~dense
+                         ~with_v:true ~with_bz:true));
+                stats.Kf_obs.Host_stats.acc_allocations
+              in
+              let what s =
+                Printf.sprintf "d=%d %s %s: %s" d
+                  (if dense then "dense" else "sparse")
+                  (Fusion.Host_fused.variant_name variant)
+                  s
+              in
+              ignore (allocs ~rows:120 ~cols:64);
+              Alcotest.(check int) (what "repeat allocates nothing") 0
+                (allocs ~rows:120 ~cols:64);
+              Alcotest.(check int) (what "smaller shape allocates nothing") 0
+                (allocs ~rows:50 ~cols:20))
+            [
+              (false, Fusion.Host_fused.Dense_acc);
+              (true, Fusion.Host_fused.Dense_acc);
+              (false, Fusion.Host_fused.Blocked);
+              (true, Fusion.Host_fused.Blocked);
+            ];
+          (* growth is what gets recorded *)
+          let stats = Kf_obs.Host_stats.create ~domains:d in
+          Kf_obs.Host_stats.with_sink stats (fun () ->
+              ignore
+                (workspace_op ~pool ~variant:Fusion.Host_fused.Dense_acc
+                   ~seed:4 ~rows:10 ~cols:200 ~dense:false ~with_v:false
+                   ~with_bz:false));
+          Alcotest.(check int)
+            (Printf.sprintf "d=%d wider shape grows every worker's buffer" d)
+            d stats.Kf_obs.Host_stats.acc_allocations))
+    [ 1; 2; 4 ]
+
+(* [?out]: the result is the caller's vector, bit-identical to the
+   no-out result — on the host kernels themselves and when the recovery
+   chain gives up on Host and falls back to Library. *)
+let test_pattern_out () =
+  let rng = Rng.create 17 in
+  let sparse = Gen.sparse_uniform rng ~rows:120 ~cols:40 ~density:0.1 in
+  let dense = Gen.dense rng ~rows:60 ~cols:24 in
+  let pool = Lazy.force pool2 in
+  List.iter
+    (fun (name, input) ->
+      let cols = Fusion.Executor.cols input in
+      let y = Gen.vector rng cols and z = Gen.vector rng cols in
+      let run ?out () =
+        Fusion.Executor.pattern ~engine:Fusion.Executor.Host ~pool ?out device
+          input ~y ~beta_z:(0.5, z) ~alpha:(-1.0) ()
+      in
+      let check_out ~what =
+        let fresh = run () in
+        let out = Array.make cols nan in
+        let r = run ~out () in
+        Alcotest.(check bool) (what ^ ": result is out") true (r.w == out);
+        Alcotest.(check bool) (what ^ ": same bits as without out") true
+          (same_bits fresh.w out);
+        r
+      in
+      ignore (check_out ~what:name);
+      let r =
+        Kf_resil.Fault.with_config "launch:point=host_fused:every=1:seed=0"
+          (fun () -> check_out ~what:(name ^ " under faults"))
+      in
+      Alcotest.(check bool)
+        (name ^ ": faults forced the library fallback")
+        true
+        (not (String.starts_with ~prefix:"host" r.engine_used));
+      (match run ~out:(Array.make (cols + 1) 0.0) () with
+      | _ -> Alcotest.fail (name ^ ": short out accepted")
+      | exception Invalid_argument _ -> ());
+      match run ~out:z () with
+      | _ -> Alcotest.fail (name ^ ": out aliasing z accepted")
+      | exception Invalid_argument _ -> ())
+    [ ("sparse", Fusion.Executor.Sparse sparse); ("dense", Dense dense) ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest test_sparse_matches;
@@ -360,4 +531,9 @@ let suite =
     Alcotest.test_case "blocked kernel reports tile stats" `Quick
       test_blocked_stats_counters;
     Alcotest.test_case "LR-CG end-to-end on host" `Quick test_session_host_lr;
+    QCheck_alcotest.to_alcotest test_workspace_alternating_shapes;
+    Alcotest.test_case "scratch: steady state allocates nothing" `Quick
+      test_workspace_steady_state;
+    Alcotest.test_case "pattern ?out is the result, bit for bit" `Quick
+      test_pattern_out;
   ]

@@ -326,6 +326,59 @@ let test_multinomial_csr_dense_agree () =
   Alcotest.(check bool) "batched executor path agrees too" true
     (Array.for_all2 (fun a b -> Float.abs (a -. b) <= 1e-9) batched via_dense)
 
+(* LR-CG on a fixed problem, pinned to the values the copying
+   (allocate-per-op) solver produced: the in-place iteration must not
+   change a bit of the weights on any engine, nor the simulated device
+   time and launch count the paper's numbers come from. *)
+let pin_problem () = sparse_problem 21 ~rows:600 ~cols:48 ~density:0.1
+
+let test_lr_pinned () =
+  let input, targets, _ = pin_problem () in
+  let fit ?pool engine =
+    Kf_ml.Linreg_cg.fit ~engine ?pool device input ~targets
+  in
+  let checksum (r : Kf_ml.Linreg_cg.result) =
+    Kf_resil.Ckpt.checksum_floats r.weights
+  in
+  List.iter
+    (fun (engine, sum, ms, launches) ->
+      let name = Fusion.Executor.engine_to_string engine in
+      let r = fit engine in
+      Alcotest.(check int) (name ^ " iterations") 12 r.iterations;
+      Alcotest.(check string) (name ^ " weights checksum") sum (checksum r);
+      Alcotest.(check string) (name ^ " gpu_ms") ms
+        (Printf.sprintf "%h" r.gpu_ms);
+      Alcotest.(check int) (name ^ " launches") launches r.launches)
+    [
+      (Fusion.Executor.Fused, "82f02ca919c1025a", "0x1.eaabf2a394dbcp-2", 87);
+      ( Fusion.Executor.Library,
+        "8ae2ef85b468b61c",
+        "0x1.3b71fd957f396p+0",
+        137 );
+    ];
+  List.iter
+    (fun (size, sum) ->
+      let pool = Par.Pool.create ~size () in
+      Fun.protect
+        ~finally:(fun () -> Par.Pool.shutdown pool)
+        (fun () ->
+          Alcotest.(check string)
+            (Printf.sprintf "host d=%d weights checksum" size)
+            sum
+            (checksum (fit ~pool Fusion.Executor.Host))))
+    [ (1, "41e5d427ea97e23f"); (2, "17383ce6b462c8b7") ]
+
+(* Host time is measured wall-clock only: level-1 work charges no
+   simulated cuBLAS time or launches, so every millisecond is an
+   executor op's (here all pattern ops). *)
+let test_lr_host_time_is_wall_clock () =
+  let input, targets, _ = pin_problem () in
+  let r =
+    Kf_ml.Linreg_cg.fit ~engine:Fusion.Executor.Host device input ~targets
+  in
+  Alcotest.(check int) "no simulated launches" 0 r.launches;
+  Alcotest.(check (float 0.0)) "gpu_ms = pattern_ms" r.pattern_ms r.gpu_ms
+
 let suite =
   [
     Alcotest.test_case "LR recovers planted (dense)" `Quick
@@ -337,6 +390,10 @@ let suite =
     Alcotest.test_case "LR trace (Table 1)" `Quick test_lr_trace_matches_table1;
     Alcotest.test_case "LR iteration cap" `Quick test_lr_iteration_cap;
     Alcotest.test_case "LR input validation" `Quick test_lr_rejects_bad_targets;
+    Alcotest.test_case "LR pinned weights and simulated time" `Quick
+      test_lr_pinned;
+    Alcotest.test_case "LR host time is wall-clock only" `Quick
+      test_lr_host_time_is_wall_clock;
     Alcotest.test_case "GLM fits Poisson" `Slow test_glm_fits_poisson;
     Alcotest.test_case "GLM trace (Table 1)" `Quick test_glm_trace;
     Alcotest.test_case "GLM input validation" `Quick test_glm_rejects_negative;
