@@ -601,6 +601,19 @@ let graph_host_used ~kernel ~pool =
     (Par.Pool.size pool)
     (if Par.Pool.size pool = 1 then "" else "s")
 
+(* Graph ops are not sharded yet, so [Dist] defers to the host kernels.
+   That fallback is permanent: warn once per process per op, not per
+   call. *)
+let dist_warned = Atomic.make []
+
+let rec warn_no_dist_kernels op =
+  let seen = Atomic.get dist_warned in
+  if List.mem op seen then ()
+  else if Atomic.compare_and_set dist_warned seen (op :: seen) then
+    Log.warn (fun m ->
+        m "dist engine has no %s kernels; falling back to host" op)
+  else warn_no_dist_kernels op
+
 let fusedmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device inst
     (g : Matrix.Csr.t) (h : Matrix.Dense.t) =
   Fusedmm.check ~name:"Executor.fusedmm" inst g h;
@@ -615,11 +628,7 @@ let fusedmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device inst
   let rec dispatch engine =
     match engine with
     | Dist ->
-        (* graph ops are not sharded yet: the multi-process tier defers
-           to the host kernels with a warning, like an unavailable
-           cluster does for the vector ops *)
-        Log.warn (fun m ->
-            m "dist engine has no fusedmm kernels; falling back to host");
+        warn_no_dist_kernels op;
         dispatch Host
     | Host ->
         let pool = host_pool pool in
@@ -671,8 +680,7 @@ let sddmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device
   let rec dispatch engine =
     match engine with
     | Dist ->
-        Log.warn (fun m ->
-            m "dist engine has no sddmm kernel; falling back to host");
+        warn_no_dist_kernels op;
         dispatch Host
     | Host ->
         let pool = host_pool pool in
@@ -704,8 +712,7 @@ let spmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device
   let rec dispatch engine =
     match engine with
     | Dist ->
-        Log.warn (fun m ->
-            m "dist engine has no spmm kernel; falling back to host");
+        warn_no_dist_kernels op;
         dispatch Host
     | Host ->
         let pool = host_pool pool in

@@ -145,7 +145,7 @@ val x_y :
     [Fused] runs the single fused simulated kernel, [Library] the
     unfused two-launch composition with [S] materialised, [Host] the
     row-parallel multicore kernels, and [Dist] (which has no graph
-    shards yet) defers to [Host] with a warning. *)
+    shards yet) defers to [Host], warning once per process per op. *)
 
 (** Matrix-valued result: the payload is an {!input} ([Sparse] for
     SDDMM's sampled matrix, [Dense] for aggregated embeddings), and the

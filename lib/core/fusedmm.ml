@@ -97,7 +97,8 @@ let sddmm ?(semiring = Semiring.plain) (g : Matrix.Csr.t) (h : Matrix.Dense.t)
   for i = 0 to g.rows - 1 do
     for e = g.row_off.(i) to g.row_off.(i + 1) - 1 do
       let j = g.col_idx.(e) in
-      values.(e) <- g.values.(e) *. semiring.edge (dot_rows h i j)
+      values.(e) <-
+        g.values.(e) *. Semiring.apply_edge semiring (dot_rows h i j)
     done
   done;
   Matrix.Csr.create ~rows:g.rows ~cols:g.cols ~values ~col_idx:g.col_idx
@@ -116,11 +117,11 @@ let fold_row (sr : Semiring.t) inst (g : Matrix.Csr.t) (h : Matrix.Dense.t)
     Array.fill acc 0 d (Semiring.identity sr);
     for k = s to e - 1 do
       let j = Array.unsafe_get g.col_idx k in
+      let v = Array.unsafe_get g.values k in
       let a =
         match inst with
-        | Spmm -> Array.unsafe_get g.values k
-        | Sddmm_spmm ->
-            Array.unsafe_get g.values k *. sr.edge (dot_rows h row j)
+        | Spmm -> v
+        | Sddmm_spmm -> v *. Semiring.apply_edge sr (dot_rows h row j)
       in
       let bj = j * d in
       for c = 0 to d - 1 do
@@ -173,8 +174,7 @@ let charge_structure ctx (g : Matrix.Csr.t) =
 (* Gather the neighbour rows of H through the read-only path: each
    stored edge fetches a contiguous [8 * d]-byte row slice at an
    irregular (but per-row sorted) index. *)
-let charge_h_gathers ctx (g : Matrix.Csr.t) ~d ~l2_hit =
-  ignore l2_hit;
+let charge_h_gathers ctx (g : Matrix.Csr.t) ~d =
   for row = 0 to g.rows - 1 do
     let s = g.row_off.(row) and e = g.row_off.(row + 1) in
     if e > s then
@@ -196,13 +196,6 @@ let charge_aggregation ctx ~nnz ~d ~rows_out =
   Sim.barrier ctx;
   Sim.store_segment ctx ~bytes_per_elt:8 ~start:0 ~count:(rows_out * d)
 
-let h_l2_hit device (h : Matrix.Dense.t) =
-  if Matrix.Dense.bytes h <= device.Device.l2_bytes then 1.0
-  else
-    1.0
-    -. Cache.miss_fraction ~working_set_bytes:(Matrix.Dense.bytes h)
-         ~capacity_bytes:device.Device.l2_bytes
-
 let sim_fused ?plan device (sr : Semiring.t) inst (g : Matrix.Csr.t)
     (h : Matrix.Dense.t) =
   check ~name:"Fusedmm.sim_fused" inst g h;
@@ -212,7 +205,6 @@ let sim_fused ?plan device (sr : Semiring.t) inst (g : Matrix.Csr.t)
     let d = h.cols in
     let nnz = Matrix.Csr.nnz g in
     let launch = plan_launch plan in
-    let l2 = h_l2_hit device h in
     let name = Printf.sprintf "fusedmm_%s_%s" (inst_key inst) sr.name in
     let z, report =
       Sim.run device launch ~name (fun ctx ->
@@ -220,7 +212,7 @@ let sim_fused ?plan device (sr : Semiring.t) inst (g : Matrix.Csr.t)
           (* one gather of each neighbour row serves both the sampled
              dot and the aggregation: the row is live in registers
              between the two uses (the FusedMM point) *)
-          charge_h_gathers ctx g ~d ~l2_hit:l2;
+          charge_h_gathers ctx g ~d;
           (match inst with
           | Sddmm_spmm ->
               (* H_i rows stream coalesced, in row order *)
@@ -233,13 +225,7 @@ let sim_fused ?plan device (sr : Semiring.t) inst (g : Matrix.Csr.t)
               done
           | Spmm -> Sim.flops ctx (nnz * 2 * d));
           charge_aggregation ctx ~nnz ~d ~rows_out:g.rows;
-          let z = Matrix.Dense.create g.rows d in
-          let acc = Array.make d 0.0 in
-          for i = 0 to g.rows - 1 do
-            if fold_row sr inst g h ~row:i ~acc then
-              Array.blit acc 0 z.data (i * d) d
-          done;
-          z)
+          fused ~semiring:sr inst g h)
     in
     (z, [ report ], plan)
   end
@@ -255,11 +241,10 @@ let sim_sddmm ?plan device (sr : Semiring.t) (g : Matrix.Csr.t)
     let d = h.cols in
     let nnz = Matrix.Csr.nnz g in
     let launch = plan_launch plan in
-    let l2 = h_l2_hit device h in
     let s, report =
       Sim.run device launch ~name:("sddmm_" ^ sr.name) (fun ctx ->
           charge_structure ctx g;
-          charge_h_gathers ctx g ~d ~l2_hit:l2;
+          charge_h_gathers ctx g ~d;
           Sim.load_segment ctx ~bytes_per_elt:8 ~start:0 ~count:(g.rows * d);
           Sim.flops ctx (nnz * ((2 * d) + 4));
           let vs = ctx.launch.vs in
@@ -282,11 +267,10 @@ let sim_spmm ?plan device (sr : Semiring.t) (s : Matrix.Csr.t)
     let d = h.cols in
     let nnz = Matrix.Csr.nnz s in
     let launch = plan_launch plan in
-    let l2 = h_l2_hit device h in
     let z, report =
       Sim.run device launch ~name:("spmm_" ^ sr.name) (fun ctx ->
           charge_structure ctx s;
-          charge_h_gathers ctx s ~d ~l2_hit:l2;
+          charge_h_gathers ctx s ~d;
           Sim.flops ctx (nnz * 2 * d);
           charge_aggregation ctx ~nnz ~d ~rows_out:s.rows;
           fused ~semiring:sr Spmm s h)

@@ -539,141 +539,171 @@ let pattern_dense ?pool ?variant ?tile_rows ?tile_cols ?out ~alpha
 
 (* ---- FusedMM graph kernels ------------------------------------------------ *)
 
-(* Sampled dense-row dot product with four independent accumulators
-   (differs from [Fusedmm.dot_rows] by reassociation only). *)
-let graph_row_dot (h : Matrix.Dense.t) i j =
-  let data = h.data and d = h.cols in
-  let bi = i * d and bj = j * d in
-  let acc0 = ref 0.0 and acc1 = ref 0.0 in
-  let acc2 = ref 0.0 and acc3 = ref 0.0 in
-  let c = ref 0 in
-  while !c + 4 <= d do
-    let c0 = !c in
-    acc0 :=
-      !acc0
-      +. (Array.unsafe_get data (bi + c0) *. Array.unsafe_get data (bj + c0));
-    acc1 :=
-      !acc1
-      +. Array.unsafe_get data (bi + c0 + 1)
-         *. Array.unsafe_get data (bj + c0 + 1);
-    acc2 :=
-      !acc2
-      +. Array.unsafe_get data (bi + c0 + 2)
-         *. Array.unsafe_get data (bj + c0 + 2);
-    acc3 :=
-      !acc3
-      +. Array.unsafe_get data (bi + c0 + 3)
-         *. Array.unsafe_get data (bj + c0 + 3);
-    c := c0 + 4
-  done;
-  let acc = ref (!acc0 +. !acc1 +. (!acc2 +. !acc3)) in
-  while !c < d do
-    acc :=
-      !acc +. (Array.unsafe_get data (bi + !c) *. Array.unsafe_get data (bj + !c));
-    incr c
-  done;
-  !acc
+(* A row's edges run in chunks of [edge_chunk] through three call-free
+   loops, each specialised to one case: (1) the sampled dots, back-to-
+   back independent gathers the core overlaps (the paper's VS x C loads
+   in flight) instead of paying each one's latency behind the previous
+   edge's [exp]; (2) the edge weights; (3) the aggregation of the
+   now-L1-hot neighbour rows. *)
+let edge_chunk = 32
 
-(* Fold one scaled neighbour row into the semiring accumulator: the Sum
-   path is the 4-way unrolled axpy; Max keeps a plain loop ([Float.max]
+(* [Semiring.logistic], repeated so it inlines: a call into another
+   module of this [-opaque] library would box [x] and the result. *)
+let[@inline] logistic x =
+  if x >= 0.0 then 1.0 /. (1.0 +. exp (-.x))
+  else
+    let e = exp x in
+    e /. (1.0 +. e)
+
+(* Loops 1 and 2 over edges [lo, hi) of [row]: [w.(k - base)] becomes
+   [G_k * edge <H_row, H_j>], the dot in four independent accumulators
+   (it differs from [Fusedmm.dot_rows] by reassociation only). *)
+let edge_weights (sr : Semiring.t) (g : Matrix.Csr.t) (h : Matrix.Dense.t)
+    ~row ~lo ~hi w ~base =
+  let data = h.data and d = h.cols in
+  let bi = row * d in
+  for k = lo to hi - 1 do
+    let bj = Array.unsafe_get g.col_idx k * d in
+    let acc0 = ref 0.0 and acc1 = ref 0.0 in
+    let acc2 = ref 0.0 and acc3 = ref 0.0 in
+    let c = ref 0 in
+    while !c + 4 <= d do
+      let c0 = !c in
+      acc0 :=
+        !acc0
+        +. (Array.unsafe_get data (bi + c0) *. Array.unsafe_get data (bj + c0));
+      acc1 :=
+        !acc1
+        +. Array.unsafe_get data (bi + c0 + 1)
+           *. Array.unsafe_get data (bj + c0 + 1);
+      acc2 :=
+        !acc2
+        +. Array.unsafe_get data (bi + c0 + 2)
+           *. Array.unsafe_get data (bj + c0 + 2);
+      acc3 :=
+        !acc3
+        +. Array.unsafe_get data (bi + c0 + 3)
+           *. Array.unsafe_get data (bj + c0 + 3);
+      c := c0 + 4
+    done;
+    let acc = ref (!acc0 +. !acc1 +. (!acc2 +. !acc3)) in
+    while !c < d do
+      acc :=
+        !acc
+        +. (Array.unsafe_get data (bi + !c) *. Array.unsafe_get data (bj + !c));
+      incr c
+    done;
+    Array.unsafe_set w (k - base) !acc
+  done;
+  match sr.edge with
+  | Semiring.Identity ->
+      for k = lo to hi - 1 do
+        Array.unsafe_set w (k - base)
+          (Array.unsafe_get g.values k *. Array.unsafe_get w (k - base))
+      done
+  | Semiring.Logistic ->
+      for k = lo to hi - 1 do
+        Array.unsafe_set w (k - base)
+          (Array.unsafe_get g.values k
+          *. logistic (Array.unsafe_get w (k - base)))
+      done
+
+(* Loop 3: fold [w.(k - base) * H_j] for edges [lo, hi) into row [row]
+   of [z], which holds the semiring identity or earlier partials.  Sum
+   is a 4-way unrolled axpy; Max keeps a plain loop ([Float.max]
    matches the sequential reference exactly, NaN handling included). *)
-let graph_accumulate (sr : Semiring.t) acc (h : Matrix.Dense.t) ~j ~a ~d =
-  let data = h.data in
-  let base = j * d in
-  match sr.op with
+let aggregate (op : Semiring.op) (z : Matrix.Dense.t) (g : Matrix.Csr.t)
+    (h : Matrix.Dense.t) ~row ~lo ~hi w ~base =
+  let data = h.data and out = z.data and d = h.cols in
+  let bz = row * d in
+  match op with
   | Semiring.Sum ->
-      let c = ref 0 in
-      while !c + 4 <= d do
-        let c0 = !c in
-        Array.unsafe_set acc c0
-          (Array.unsafe_get acc c0 +. (a *. Array.unsafe_get data (base + c0)));
-        Array.unsafe_set acc (c0 + 1)
-          (Array.unsafe_get acc (c0 + 1)
-          +. (a *. Array.unsafe_get data (base + c0 + 1)));
-        Array.unsafe_set acc (c0 + 2)
-          (Array.unsafe_get acc (c0 + 2)
-          +. (a *. Array.unsafe_get data (base + c0 + 2)));
-        Array.unsafe_set acc (c0 + 3)
-          (Array.unsafe_get acc (c0 + 3)
-          +. (a *. Array.unsafe_get data (base + c0 + 3)));
-        c := c0 + 4
-      done;
-      while !c < d do
-        Array.unsafe_set acc !c
-          (Array.unsafe_get acc !c +. (a *. Array.unsafe_get data (base + !c)));
-        incr c
+      for k = lo to hi - 1 do
+        let a = Array.unsafe_get w (k - base) in
+        let bj = Array.unsafe_get g.col_idx k * d in
+        let c = ref 0 in
+        while !c + 4 <= d do
+          let c0 = bz + !c and j0 = bj + !c in
+          Array.unsafe_set out c0
+            (Array.unsafe_get out c0 +. (a *. Array.unsafe_get data j0));
+          Array.unsafe_set out (c0 + 1)
+            (Array.unsafe_get out (c0 + 1)
+            +. (a *. Array.unsafe_get data (j0 + 1)));
+          Array.unsafe_set out (c0 + 2)
+            (Array.unsafe_get out (c0 + 2)
+            +. (a *. Array.unsafe_get data (j0 + 2)));
+          Array.unsafe_set out (c0 + 3)
+            (Array.unsafe_get out (c0 + 3)
+            +. (a *. Array.unsafe_get data (j0 + 3)));
+          c := !c + 4
+        done;
+        while !c < d do
+          Array.unsafe_set out (bz + !c)
+            (Array.unsafe_get out (bz + !c)
+            +. (a *. Array.unsafe_get data (bj + !c)));
+          incr c
+        done
       done
   | Semiring.Max ->
-      for c = 0 to d - 1 do
-        Array.unsafe_set acc c
-          (Float.max (Array.unsafe_get acc c)
-             (a *. Array.unsafe_get data (base + c)))
+      for k = lo to hi - 1 do
+        let a = Array.unsafe_get w (k - base) in
+        let bj = Array.unsafe_get g.col_idx k * d in
+        for c = 0 to d - 1 do
+          Array.unsafe_set out (bz + c)
+            (Float.max
+               (Array.unsafe_get out (bz + c))
+               (a *. Array.unsafe_get data (bj + c)))
+        done
       done
 
-(* Output rows of Z are disjoint, so the per-domain-accumulator/merge
-   machinery above has nothing to do here: one row-parallel pass, the
-   per-row accumulator in locals, each domain writing only the rows it
-   owns. *)
+(* The row-parallel pass of both graph kernels: [row_fn w row s e] for
+   every row, its edges [s, e) and a per-domain chunk buffer [w].
+   Output rows are disjoint, so the per-domain-accumulator/merge
+   machinery above has nothing to do here: each domain writes only the
+   rows it owns. *)
+let graph_rows pool (g : Matrix.Csr.t) row_fn =
+  Kf_resil.Fault.check Kf_resil.Fault.Launch ~point:"host_fused.graph";
+  let pool = get_pool pool in
+  Kf_obs.Host_stats.set_variant "row-disjoint";
+  Par.Pool.parallel_for pool ~lo:0 ~hi:g.rows (fun lo hi ->
+      if Kf_obs.Host_stats.profiling () then
+        Kf_obs.Host_stats.add_work ~rows:(hi - lo)
+          ~nnz:(g.row_off.(hi) - g.row_off.(lo));
+      let w = Array.make edge_chunk 0.0 in
+      for row = lo to hi - 1 do
+        row_fn w row g.row_off.(row) g.row_off.(row + 1)
+      done)
+
 let fusedmm ?pool ?(semiring = Semiring.plain) inst (g : Matrix.Csr.t)
     (h : Matrix.Dense.t) =
   Fusedmm.check ~name:"Host_fused.fusedmm" inst g h;
   let d = h.cols in
   let z = Matrix.Dense.create g.rows d in
-  if g.rows = 0 || d = 0 || Matrix.Csr.nnz g = 0 then z
-  else begin
-    Kf_resil.Fault.check Kf_resil.Fault.Launch ~point:"host_fused.graph";
-    let pool = get_pool pool in
-    Kf_obs.Host_stats.set_variant "row-disjoint";
-    let ident = Semiring.identity semiring in
-    Par.Pool.parallel_for pool ~lo:0 ~hi:g.rows (fun lo hi ->
-        if Kf_obs.Host_stats.profiling () then
-          Kf_obs.Host_stats.add_work ~rows:(hi - lo)
-            ~nnz:(g.row_off.(hi) - g.row_off.(lo));
-        let acc = Array.make d 0.0 in
-        for row = lo to hi - 1 do
-          let s = Array.unsafe_get g.row_off row
-          and e = Array.unsafe_get g.row_off (row + 1) in
-          if e > s then begin
-            Array.fill acc 0 d ident;
-            for k = s to e - 1 do
-              let j = Array.unsafe_get g.col_idx k in
-              let a =
-                match inst with
-                | Fusedmm.Spmm -> Array.unsafe_get g.values k
-                | Fusedmm.Sddmm_spmm ->
-                    Array.unsafe_get g.values k
-                    *. semiring.edge (graph_row_dot h row j)
-              in
-              graph_accumulate semiring acc h ~j ~a ~d
-            done;
-            Array.blit acc 0 z.data (row * d) d
-          end
-        done);
-    z
-  end
+  if g.rows > 0 && d > 0 && Matrix.Csr.nnz g > 0 then
+    graph_rows pool g (fun w row s e ->
+        if e > s && semiring.op = Semiring.Max then
+          Array.fill z.data (row * d) d neg_infinity;
+        match inst with
+        | Fusedmm.Spmm ->
+            aggregate semiring.op z g h ~row ~lo:s ~hi:e g.values ~base:0
+        | Fusedmm.Sddmm_spmm ->
+            let k = ref s in
+            while !k < e do
+              let k0 = !k and k1 = min e (!k + edge_chunk) in
+              edge_weights semiring g h ~row ~lo:k0 ~hi:k1 w ~base:k0;
+              aggregate semiring.op z g h ~row ~lo:k0 ~hi:k1 w ~base:k0;
+              k := k1
+            done);
+  z
 
 let sddmm ?pool ?(semiring = Semiring.plain) (g : Matrix.Csr.t)
     (h : Matrix.Dense.t) =
   Fusedmm.check ~name:"Host_fused.sddmm" Fusedmm.Sddmm_spmm g h;
   let nnz = Matrix.Csr.nnz g in
   let values = Array.make nnz 0.0 in
-  if g.rows > 0 && nnz > 0 then begin
-    Kf_resil.Fault.check Kf_resil.Fault.Launch ~point:"host_fused.graph";
-    let pool = get_pool pool in
-    Kf_obs.Host_stats.set_variant "row-disjoint";
-    Par.Pool.parallel_for pool ~lo:0 ~hi:g.rows (fun lo hi ->
-        if Kf_obs.Host_stats.profiling () then
-          Kf_obs.Host_stats.add_work ~rows:(hi - lo)
-            ~nnz:(g.row_off.(hi) - g.row_off.(lo));
-        for row = lo to hi - 1 do
-          for k = g.row_off.(row) to g.row_off.(row + 1) - 1 do
-            let j = Array.unsafe_get g.col_idx k in
-            values.(k) <-
-              Array.unsafe_get g.values k
-              *. semiring.edge (graph_row_dot h row j)
-          done
-        done)
-  end;
+  if g.rows > 0 && nnz > 0 then
+    graph_rows pool g (fun _ row lo hi ->
+        edge_weights semiring g h ~row ~lo ~hi values ~base:0);
   Matrix.Csr.create ~rows:g.rows ~cols:g.cols ~values ~col_idx:g.col_idx
     ~row_off:g.row_off
 

@@ -146,9 +146,11 @@ val xt_p :
     Host execution of the ["fusedmm"] family ([Fusedmm]): semiring-
     parameterised SDDMM ⊕ SpMM.  Unlike Equation 1's column scatter,
     the output rows of [Z] are disjoint, so the per-domain-accumulator
-    and merge tiers vanish: one row-parallel pass, the per-row
-    accumulator in locals (4-way unrolled sampled dot and axpy), each
-    domain writing only the rows it owns. *)
+    and merge tiers vanish: one row-parallel pass, each domain writing
+    only the rows it owns.  A row's edges go in chunks of 32 through
+    three call-free loops — all sampled dots first (independent
+    gathers whose latencies overlap), then the edge weights, then the
+    fold of the now cache-hot neighbour rows straight into [Z]. *)
 
 val fusedmm :
   ?pool:Par.Pool.t ->

@@ -1,6 +1,8 @@
 type op = Sum | Max
 
-type t = { name : string; edge : float -> float; op : op }
+type edge = Identity | Logistic
+
+type t = { name : string; edge : edge; op : op }
 
 (* Evaluate the two branches so exp never overflows: for x < 0,
    exp x <= 1 and e / (1 + e) equals the logistic exactly. *)
@@ -10,11 +12,13 @@ let logistic x =
     let e = exp x in
     e /. (1.0 +. e)
 
-let plain = { name = "plain"; edge = Fun.id; op = Sum }
+let apply_edge t x = match t.edge with Identity -> x | Logistic -> logistic x
 
-let sigmoid = { name = "sigmoid"; edge = logistic; op = Sum }
+let plain = { name = "plain"; edge = Identity; op = Sum }
 
-let maxpool = { name = "maxpool"; edge = Fun.id; op = Max }
+let sigmoid = { name = "sigmoid"; edge = Logistic; op = Sum }
+
+let maxpool = { name = "maxpool"; edge = Identity; op = Max }
 
 let all = [ plain; sigmoid; maxpool ]
 

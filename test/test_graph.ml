@@ -92,7 +92,7 @@ let prop_edge_pure =
     ~count:300 finite_float (fun x ->
       List.for_all
         (fun sr ->
-          let a = sr.Semiring.edge x and b = sr.Semiring.edge x in
+          let a = Semiring.apply_edge sr x and b = Semiring.apply_edge sr x in
           a = b && Float.is_finite a)
         Semiring.all)
 
@@ -176,7 +176,8 @@ let test_sddmm_engines_agree () =
     Semiring.all
 
 let prop_differential_random_graphs =
-  (* random shapes/degrees/semirings, fused (sim) vs unfused oracle *)
+  (* random shapes/degrees/semirings, fused (sim) and host vs unfused
+     oracle *)
   QCheck.Test.make ~name:"fused agrees with unfused on random graphs"
     ~count:40
     QCheck.(
@@ -189,16 +190,171 @@ let prop_differential_random_graphs =
       let oracle =
         Fusedmm.spmm ~semiring:sr (Fusedmm.sddmm ~semiring:sr g h) h
       in
-      let r =
-        Executor.fusedmm ~engine:Executor.Fused ~semiring:sr device
-          Fusedmm.Sddmm_spmm g h
-      in
-      match r.Executor.m_value with
-      | Executor.Dense z ->
-          Array.for_all2
-            (fun a b -> Float.abs (a -. b) <= 1e-9)
-            oracle.Dense.data z.Dense.data
-      | Executor.Sparse _ -> false)
+      List.for_all
+        (fun (engine, pool) ->
+          let r =
+            Executor.fusedmm ~engine ?pool ~semiring:sr device
+              Fusedmm.Sddmm_spmm g h
+          in
+          match r.Executor.m_value with
+          | Executor.Dense z ->
+              Array.for_all2
+                (fun a b -> Float.abs (a -. b) <= 1e-9)
+                oracle.Dense.data z.Dense.data
+          | Executor.Sparse _ -> false)
+        [
+          (Executor.Fused, None);
+          (Executor.Host, Some (Lazy.force pool1));
+          (Executor.Host, Some (Lazy.force pool2));
+        ])
+
+(* ---- host kernel chunk boundaries --------------------------------------- *)
+
+(* The host kernel walks each row's edges in chunks of 32, so rows of
+   degree 0, 1, 31, 32, 33 and 101 put a row on each side of every chunk
+   boundary; dims 1, 3, 4, 5, 8 and 13 do the same for the 4-way
+   unrolled dot and axpy.  Row r has degree [degs.(r mod 6)], with
+   distinct columns and weights of both signs (so maxpool sees negative
+   scaled rows). *)
+let hub_graph () =
+  let n = 128 and degs = [| 0; 1; 31; 32; 33; 101 |] in
+  let rng = Rng.create 61 in
+  let rows =
+    Array.init n (fun r ->
+        List.init degs.(r mod 6) (fun t -> ((r * 37) + (t * 7)) mod n)
+        |> List.sort compare |> Array.of_list)
+  in
+  let row_off = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun r cols -> row_off.(r + 1) <- row_off.(r) + Array.length cols)
+    rows;
+  let col_idx = Array.concat (Array.to_list rows) in
+  let values = Array.map (fun _ -> Rng.float rng 2.0 -. 1.0) col_idx in
+  Csr.create ~rows:n ~cols:n ~values ~col_idx ~row_off
+
+(* [run pool] on every host pool must give the same bits, and those must
+   be within 1e-9 of [oracle]. *)
+let check_host_pools ~msg ~oracle run =
+  let results =
+    List.map
+      (fun pool -> (pool, run pool))
+      (List.map Lazy.force [ pool1; pool2; pool4 ])
+  in
+  let _, first = List.hd results in
+  List.iter
+    (fun (pool, r) ->
+      let msg = Printf.sprintf "%s, %d domains" msg (Par.Pool.size pool) in
+      Array.iteri
+        (fun i x ->
+          if Int64.bits_of_float x <> Int64.bits_of_float first.(i) then
+            Alcotest.failf "%s: element %d is %h, %h on 1 domain" msg i x
+              first.(i);
+          if Float.abs (x -. oracle.(i)) > 1e-9 then
+            Alcotest.failf "%s: element %d is %.17g, oracle %.17g" msg i x
+              oracle.(i))
+        r)
+    results
+
+let test_host_chunk_boundaries () =
+  let g = hub_graph () in
+  List.iter
+    (fun dim ->
+      let h = embedding ~seed:(70 + dim) ~nodes:g.Csr.rows ~dim in
+      List.iter
+        (fun sr ->
+          let name = Printf.sprintf "%s dim %d" sr.Semiring.name dim in
+          List.iter
+            (fun inst ->
+              let oracle =
+                match inst with
+                | Fusedmm.Sddmm_spmm ->
+                    Fusedmm.spmm ~semiring:sr
+                      (Fusedmm.sddmm ~semiring:sr g h)
+                      h
+                | Fusedmm.Spmm -> Fusedmm.spmm ~semiring:sr g h
+              in
+              check_host_pools
+                ~msg:(name ^ " " ^ Fusedmm.inst_key inst)
+                ~oracle:oracle.Dense.data (fun pool ->
+                  (Fusion.Host_fused.fusedmm ~pool ~semiring:sr inst g h)
+                    .Dense.data))
+            Fusedmm.instantiations;
+          check_host_pools ~msg:(name ^ " sddmm")
+            ~oracle:(Fusedmm.sddmm ~semiring:sr g h).Csr.values (fun pool ->
+              (Fusion.Host_fused.sddmm ~pool ~semiring:sr g h).Csr.values))
+        Semiring.all)
+    [ 1; 3; 4; 5; 8; 13 ]
+
+(* ---- pinned graph-embedding weights ------------------------------------- *)
+
+(* The problem [kf train -a graphemb --max-iterations 2 -m 2000] trains
+   (seed 42): the pins are that command's weights checksums, so a kernel
+   change that moves a single bit of the embedding shows here.  The host
+   kernel is row-disjoint, so the domain count must not change a bit. *)
+let test_graphemb_pinned () =
+  let rng = Rng.create 42 in
+  let nodes = 2000 in
+  let g = Kf_ml.Dataset.adjacency rng ~nodes ~out_degree:8 in
+  let h0 = Gen.dense rng ~rows:nodes ~cols:Kf_ml.Graphemb.default_dim in
+  let checksum ?pool engine =
+    let r = Kf_ml.Graphemb.run ~engine ?pool ~iterations:2 device g h0 in
+    let h = r.Kf_ml.Graphemb.embedding in
+    (* the model's weight vectors are the embedding's columns *)
+    let col c = Array.init h.Dense.rows (fun r -> Dense.get h r c) in
+    Kf_resil.Ckpt.checksum_floats (Array.concat (List.init h.Dense.cols col))
+  in
+  Alcotest.(check string) "host, 1 domain" "d3030f830bf35243"
+    (checksum ~pool:(Lazy.force pool1) Executor.Host);
+  Alcotest.(check string) "host, 2 domains" "d3030f830bf35243"
+    (checksum ~pool:(Lazy.force pool2) Executor.Host);
+  Alcotest.(check string) "fused" "8f3b018a9baf0733" (checksum Executor.Fused)
+
+(* ---- dist fallback warns once per op ------------------------------------ *)
+
+(* The dist engine has no graph kernels and falls back to the host ones.
+   The fallback is permanent, so each op warns once per process, not once
+   per call.  No earlier case in this binary runs a graph op on [Dist]. *)
+let test_dist_fallback_warns_once () =
+  let g = graph ~seed:81 ~nodes:30 ~out_degree:3 in
+  let h = embedding ~seed:82 ~nodes:30 ~dim:4 in
+  let pool = Lazy.force pool1 in
+  let warnings = ref [] in
+  let reporter =
+    {
+      Logs.report =
+        (fun src level ~over k msgf ->
+          msgf (fun ?header:_ ?tags:_ fmt ->
+              Format.kasprintf
+                (fun msg ->
+                  if
+                    level = Logs.Warning
+                    && Logs.Src.name src = "fusion.executor"
+                  then warnings := msg :: !warnings;
+                  over ();
+                  k ())
+                fmt));
+    }
+  in
+  let old_reporter = Logs.reporter () and old_level = Logs.level () in
+  Logs.set_reporter reporter;
+  Logs.set_level (Some Logs.Warning);
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter old_reporter;
+      Logs.set_level old_level)
+    (fun () ->
+      for _ = 1 to 3 do
+        let engine = Executor.Dist in
+        ignore (Executor.fusedmm ~engine ~pool device Fusedmm.Sddmm_spmm g h);
+        ignore (Executor.sddmm ~engine ~pool device g h);
+        ignore (Executor.spmm ~engine ~pool device g h)
+      done);
+  Alcotest.(check (list string))
+    "one warning per op name over three runs"
+    (List.map
+       (Printf.sprintf "dist engine has no %s kernels; falling back to host")
+       [ "fusedmm"; "sddmm"; "spmm" ])
+    (List.rev !warnings)
 
 (* ---- warp max reduction ------------------------------------------------- *)
 
@@ -435,6 +591,12 @@ let suite =
       test_engines_agree;
     Alcotest.test_case "sddmm agrees across engines" `Quick
       test_sddmm_engines_agree;
+    Alcotest.test_case "host kernel across chunk boundaries" `Quick
+      test_host_chunk_boundaries;
+    Alcotest.test_case "graphemb weights are pinned" `Quick
+      test_graphemb_pinned;
+    Alcotest.test_case "dist fallback warns once per op" `Quick
+      test_dist_fallback_warns_once;
     Alcotest.test_case "warp max tree reduction" `Quick test_tree_reduce_max;
     Alcotest.test_case "family registry round-trips" `Quick
       test_registry_round_trip;
