@@ -199,10 +199,15 @@ let reference_result ~op ~input ~t0 ~instantiation w =
     profile;
   }
 
+let unchecked _ = false
+
 (* Polymorphic over the result record — Equation-1 ops guard a vector
    result, the graph ops a matrix one; [vec_of] projects the raw float
-   payload the fault injector poisons and the guard inspects. *)
-let guarded ~op ~engine ~vec_of ~dispatch ~reference =
+   payload the fault injector poisons and the guard inspects.  The scan
+   is skipped for a result that [checked] says the host kernel already
+   checked (see [kernel_guard]); fault poisoning writes after dispatch,
+   so under an active fault rule every result is scanned here. *)
+let guarded ~op ~engine ~vec_of ~checked ~dispatch ~reference =
   let faults = Kf_resil.Fault.active () in
   if not (faults || Kf_resil.Guard.enabled ()) then dispatch engine
   else
@@ -212,7 +217,8 @@ let guarded ~op ~engine ~vec_of ~dispatch ~reference =
       Kf_resil.Fault.check Kf_resil.Fault.Launch ~point;
       let r = dispatch e in
       if faults then Kf_resil.Fault.poison ~point (vec_of r);
-      Kf_resil.Guard.check_vec ~point (vec_of r);
+      if faults || not (checked r) then
+        Kf_resil.Guard.check_vec ~point (vec_of r);
       r
     in
     let note verb e exn =
@@ -337,7 +343,8 @@ let xt_y ?(engine = Fused) ?pool ?cluster device input y ~alpha =
       let w, reports = library_epilogue device ~alpha ~beta_z:None w reports in
       finish ~instantiation ~engine_used:"cublas gemv (transpose)" w reports
   in
-  guarded ~op ~engine ~vec_of:(fun r -> r.w) ~reference ~dispatch
+  guarded ~op ~engine ~vec_of:(fun r -> r.w) ~checked:unchecked ~reference
+    ~dispatch
 
 let library_pattern device input ~y ?v ?beta_z ~alpha () =
   let p, reports =
@@ -473,7 +480,7 @@ let pattern ?(engine = Fused) ?pool ?cluster ?out device input ~y ?v ?beta_z
       in
       finish ~instantiation ~engine_used w reports
   in
-  guarded ~op ~engine ~vec_of:(fun r -> r.w) ~reference
+  guarded ~op ~engine ~vec_of:(fun r -> r.w) ~checked:unchecked ~reference
     ~dispatch:(fun e -> into out (dispatch e))
 
 let x_y ?(engine = Fused) ?pool ?cluster device input y =
@@ -525,7 +532,8 @@ let x_y ?(engine = Fused) ?pool ?cluster device input y =
       let w, reports = Gpulibs.Cublas.gemv device x y in
       finish ~instantiation ~engine_used:"cublas gemv" w reports
   in
-  guarded ~op ~engine ~vec_of:(fun r -> r.w) ~reference ~dispatch
+  guarded ~op ~engine ~vec_of:(fun r -> r.w) ~checked:unchecked ~reference
+    ~dispatch
 
 (* --- graph ops: the fusedmm family ----------------------------------------- *)
 
@@ -541,6 +549,7 @@ type mat_result = {
   m_desc : Pattern_family.descriptor option;
   m_engine_used : string;
   m_profile : profile;
+  m_checked : bool;
 }
 
 let mat_vec r =
@@ -560,9 +569,10 @@ let finish_mat ~op ~input ~t0 ~desc ~engine_used value reports =
     m_desc = desc;
     m_engine_used = engine_used;
     m_profile = profile;
+    m_checked = false;
   }
 
-let finish_mat_host ~op ~input ~t0 ~desc ~engine_used ~pool f =
+let finish_mat_host ~op ~input ~t0 ~desc ~engine_used ~pool ~checked f =
   let stats = Kf_obs.Host_stats.create ~domains:(Par.Pool.size pool) in
   let value = Kf_obs.Host_stats.with_sink stats f in
   (match Kf_obs.Host_stats.current () with
@@ -582,6 +592,7 @@ let finish_mat_host ~op ~input ~t0 ~desc ~engine_used ~pool f =
     m_desc = desc;
     m_engine_used = engine_used;
     m_profile = profile;
+    m_checked = checked;
   }
 
 let reference_mat ~op ~input ~t0 ~desc value =
@@ -594,7 +605,25 @@ let reference_mat ~op ~input ~t0 ~desc value =
     m_desc = desc;
     m_engine_used = engine_used;
     m_profile = profile;
+    m_checked = false;
   }
+
+(* The guard point the host graph kernels check their output rows
+   against: only when [guarded] would scan the result anyway (guards
+   on) and nothing writes it after dispatch (no fault rule active). *)
+let kernel_guard op =
+  if Kf_resil.Guard.enabled () && not (Kf_resil.Fault.active ()) then
+    Some ("executor." ^ op)
+  else None
+
+(* [into] for the dense graph results: one not written in place is
+   copied over [out]. *)
+let into_mat out r =
+  match (out, r.m_value) with
+  | Some (o : Matrix.Dense.t), Dense z when z != o ->
+      Array.blit z.data 0 o.data 0 (Array.length o.data);
+      { r with m_value = Dense o }
+  | _ -> r
 
 let graph_host_used ~kernel ~pool =
   Printf.sprintf "host %s [row-disjoint, %d domain%s]" kernel
@@ -614,16 +643,20 @@ let rec warn_no_dist_kernels op =
         m "dist engine has no %s kernels; falling back to host" op)
   else warn_no_dist_kernels op
 
-let fusedmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device inst
-    (g : Matrix.Csr.t) (h : Matrix.Dense.t) =
-  Fusedmm.check ~name:"Executor.fusedmm" inst g h;
+let fusedmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) ?out device
+    inst (g : Matrix.Csr.t) (h : Matrix.Dense.t) =
+  let name = "Executor.fusedmm" in
+  Fusedmm.check ~name inst g h;
+  Option.iter (Host_fused.check_graph_out ~name ~rows:g.rows h) out;
   let t0 = Kf_obs.Clock.now_ns () in
   let op = "fusedmm" in
   let input = Sparse g in
   let desc = Some (Fusedmm.descriptor ~semiring:semiring.Semiring.name inst) in
+  let guard = kernel_guard op in
   let reference () =
-    reference_mat ~op ~input ~t0 ~desc
-      (Dense (Fusedmm.fused ~semiring inst g h))
+    into_mat out
+      (reference_mat ~op ~input ~t0 ~desc
+         (Dense (Fusedmm.fused ~semiring inst g h)))
   in
   let rec dispatch engine =
     match engine with
@@ -637,8 +670,9 @@ let fusedmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device inst
             (graph_host_used
                ~kernel:("fusedmm " ^ Fusedmm.inst_key inst)
                ~pool)
-          ~pool
-          (fun () -> Dense (Host_fused.fusedmm ~pool ~semiring inst g h))
+          ~pool ~checked:(guard <> None)
+          (fun () ->
+            Dense (Host_fused.fusedmm ~pool ~semiring ?out ?guard inst g h))
     | Fused ->
         let z, reports, _plan = Fusedmm.sim_fused device semiring inst g h in
         finish_mat ~op ~input ~t0 ~desc
@@ -664,7 +698,10 @@ let fusedmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device inst
               ~engine_used:"sddmm + spmm (two launches, S materialised)"
               (Dense z) (r1 @ r2))
   in
-  guarded ~op ~engine ~vec_of:mat_vec ~reference ~dispatch
+  guarded ~op ~engine ~vec_of:mat_vec
+    ~checked:(fun r -> r.m_checked)
+    ~reference
+    ~dispatch:(fun e -> into_mat out (dispatch e))
 
 let sddmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device
     (g : Matrix.Csr.t) (h : Matrix.Dense.t) =
@@ -674,6 +711,7 @@ let sddmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device
   (* standalone SDDMM is a building block, not a family instantiation:
      the trace records nothing for it *)
   let desc = None in
+  let guard = kernel_guard op in
   let reference () =
     reference_mat ~op ~input ~t0 ~desc (Sparse (Fusedmm.sddmm ~semiring g h))
   in
@@ -686,8 +724,8 @@ let sddmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device
         let pool = host_pool pool in
         finish_mat_host ~op ~input ~t0 ~desc
           ~engine_used:(graph_host_used ~kernel:"sddmm" ~pool)
-          ~pool
-          (fun () -> Sparse (Host_fused.sddmm ~pool ~semiring g h))
+          ~pool ~checked:(guard <> None)
+          (fun () -> Sparse (Host_fused.sddmm ~pool ~semiring ?guard g h))
     | Fused | Library ->
         (* one kernel either way: there is nothing to fuse until the
            consumer is known (that is the plan compiler's job) *)
@@ -696,18 +734,25 @@ let sddmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device
           ~engine_used:("sddmm [" ^ semiring.Semiring.name ^ "]")
           (Sparse s) reports
   in
-  guarded ~op ~engine ~vec_of:mat_vec ~reference ~dispatch
+  guarded ~op ~engine ~vec_of:mat_vec
+    ~checked:(fun r -> r.m_checked)
+    ~reference ~dispatch
 
-let spmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device
+let spmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) ?out device
     (s : Matrix.Csr.t) (h : Matrix.Dense.t) =
+  let name = "Executor.spmm" in
+  Fusedmm.check ~name Fusedmm.Spmm s h;
+  Option.iter (Host_fused.check_graph_out ~name ~rows:s.rows h) out;
   let t0 = Kf_obs.Clock.now_ns () in
   let op = "spmm" in
   let input = Sparse s in
   let desc =
     Some (Fusedmm.descriptor ~semiring:semiring.Semiring.name Fusedmm.Spmm)
   in
+  let guard = kernel_guard op in
   let reference () =
-    reference_mat ~op ~input ~t0 ~desc (Dense (Fusedmm.spmm ~semiring s h))
+    into_mat out
+      (reference_mat ~op ~input ~t0 ~desc (Dense (Fusedmm.spmm ~semiring s h)))
   in
   let rec dispatch engine =
     match engine with
@@ -718,12 +763,15 @@ let spmm ?(engine = Fused) ?pool ?(semiring = Semiring.plain) device
         let pool = host_pool pool in
         finish_mat_host ~op ~input ~t0 ~desc
           ~engine_used:(graph_host_used ~kernel:"spmm" ~pool)
-          ~pool
-          (fun () -> Dense (Host_fused.spmm ~pool ~semiring s h))
+          ~pool ~checked:(guard <> None)
+          (fun () -> Dense (Host_fused.spmm ~pool ~semiring ?out ?guard s h))
     | Fused | Library ->
         let z, reports, _ = Fusedmm.sim_spmm device semiring s h in
         finish_mat ~op ~input ~t0 ~desc
           ~engine_used:("spmm [" ^ semiring.Semiring.name ^ "]")
           (Dense z) reports
   in
-  guarded ~op ~engine ~vec_of:mat_vec ~reference ~dispatch
+  guarded ~op ~engine ~vec_of:mat_vec
+    ~checked:(fun r -> r.m_checked)
+    ~reference
+    ~dispatch:(fun e -> into_mat out (dispatch e))

@@ -161,12 +161,17 @@ type mat_result = {
           instantiation *)
   m_engine_used : string;
   m_profile : profile;
+  m_checked : bool;
+      (** the [Host] kernel checked [m_value] for non-finite values row
+          by row as it wrote it (guards on, no fault rule active), so
+          the executor's separate guard scan was skipped *)
 }
 
 val fusedmm :
   ?engine:engine ->
   ?pool:Par.Pool.t ->
   ?semiring:Semiring.t ->
+  ?out:Matrix.Dense.t ->
   Device.t ->
   Fusedmm.instantiation ->
   Matrix.Csr.t ->
@@ -174,7 +179,20 @@ val fusedmm :
   mat_result
 (** [fusedmm device inst g h]: the fused chain
     [Z_i = op_j (G_ij * edge(<H_i,H_j>) * H_j)] (or its SpMM floor)
-    without materialising [S].  Default semiring: [Semiring.plain]. *)
+    without materialising [S].  Default semiring: [Semiring.plain].
+
+    With [out] the result is written into that caller-owned matrix and
+    [m_value] is [Dense out]: the [Host] kernel writes every row of it
+    in place, while the other engines, and any retry, fallback or
+    reference run of the recovery chain, copy their result over it.
+    The values are the same as without [out], bit for bit.  Raises
+    [Invalid_argument] if [out] is not [G.rows x H.cols] or is
+    physically [h].
+
+    With guards on and no fault rule active, the [Host] kernel checks
+    each output row as it finishes it and raises the same
+    [Kf_resil.Guard.Unhealthy] the executor's scan would, which then
+    skips that scan ([m_checked]). *)
 
 val sddmm :
   ?engine:engine ->
@@ -185,15 +203,17 @@ val sddmm :
   Matrix.Dense.t ->
   mat_result
 (** Standalone SDDMM: [S_ij = G_ij * edge(<H_i,H_j>)], same sparsity as
-    [G] ([m_value] is [Sparse]). *)
+    [G] ([m_value] is [Sparse]).  The [Host] kernel checks its output
+    rows as {!fusedmm}'s does. *)
 
 val spmm :
   ?engine:engine ->
   ?pool:Par.Pool.t ->
   ?semiring:Semiring.t ->
+  ?out:Matrix.Dense.t ->
   Device.t ->
   Matrix.Csr.t ->
   Matrix.Dense.t ->
   mat_result
 (** Standalone SpMM: [Z_i = op_j (S_ij * H_j)] ([m_value] is
-    [Dense]). *)
+    [Dense]); [out] and the in-kernel guard as in {!fusedmm}. *)

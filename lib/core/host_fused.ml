@@ -656,33 +656,91 @@ let aggregate (op : Semiring.op) (z : Matrix.Dense.t) (g : Matrix.Csr.t)
         done
       done
 
+(* The first index from [i] below [hi] whose value is not finite, or
+   -1: [x -. x] is 0 for every finite [x] and NaN otherwise. *)
+let rec first_non_finite (v : float array) i ~hi =
+  if i >= hi then -1
+  else
+    let x = Array.unsafe_get v i in
+    if x -. x = 0.0 then first_non_finite v (i + 1) ~hi else i
+
+let rec atomic_min (a : int Atomic.t) v =
+  let cur = Atomic.get a in
+  if v < cur && not (Atomic.compare_and_set a cur v) then atomic_min a v
+
+(* A degenerate shape's output is all zeros: the guard's check passes. *)
+let report_clean guard out =
+  Option.iter (fun point -> Kf_resil.Guard.report ~point out None) guard
+
 (* The row-parallel pass of both graph kernels: [row_fn w row s e] for
    every row, its edges [s, e) and a per-domain chunk buffer [w].
    Output rows are disjoint, so the per-domain-accumulator/merge
    machinery above has nothing to do here: each domain writes only the
-   rows it owns. *)
-let graph_rows pool (g : Matrix.Csr.t) row_fn =
+   rows it owns, row [row] owning [out.(row_start row)] up to
+   [out.(row_start (row + 1))].
+
+   With [guard] (a guard point) each row's output is checked for a
+   non-finite value as soon as [row_fn] has written it, while it is
+   still in L1, instead of in a second sequential pass over [out].
+   Rows ascend within a chunk, so a chunk stops checking at its first
+   bad row, and the least index over all chunks is the element a scan
+   of [out] would find first: [Guard.report] raises what
+   [Guard.check_vec] would. *)
+let graph_rows ?guard pool (g : Matrix.Csr.t) ~out ~row_start row_fn =
   Kf_resil.Fault.check Kf_resil.Fault.Launch ~point:"host_fused.graph";
   let pool = get_pool pool in
   Kf_obs.Host_stats.set_variant "row-disjoint";
+  let scan = guard <> None and bad = Atomic.make max_int in
   Par.Pool.parallel_for pool ~lo:0 ~hi:g.rows (fun lo hi ->
       if Kf_obs.Host_stats.profiling () then
         Kf_obs.Host_stats.add_work ~rows:(hi - lo)
           ~nnz:(g.row_off.(hi) - g.row_off.(lo));
       let w = Array.make edge_chunk 0.0 in
+      let first = ref (-1) in
       for row = lo to hi - 1 do
-        row_fn w row g.row_off.(row) g.row_off.(row + 1)
-      done)
+        row_fn w row g.row_off.(row) g.row_off.(row + 1);
+        if scan && !first < 0 then
+          first :=
+            first_non_finite out (row_start row) ~hi:(row_start (row + 1))
+      done;
+      if !first >= 0 then atomic_min bad !first);
+  Option.iter
+    (fun point ->
+      let b = Atomic.get bad in
+      Kf_resil.Guard.report ~point out (if b = max_int then None else Some b))
+    guard
 
-let fusedmm ?pool ?(semiring = Semiring.plain) inst (g : Matrix.Csr.t)
-    (h : Matrix.Dense.t) =
-  Fusedmm.check ~name:"Host_fused.fusedmm" inst g h;
-  let d = h.cols in
-  let z = Matrix.Dense.create g.rows d in
+(* [out] is written while [h] is still being gathered, and a retry
+   rereads [h] after a failed attempt wrote [out]: it must not be [h]. *)
+let check_graph_out ~name ~rows (h : Matrix.Dense.t) (o : Matrix.Dense.t) =
+  if o.rows <> rows || o.cols <> h.cols then
+    invalid_arg (name ^ ": out must have the result's rows and h's columns");
+  if o == h then invalid_arg (name ^ ": out must not alias h")
+
+let fusedmm ?pool ?(semiring = Semiring.plain) ?out ?guard inst
+    (g : Matrix.Csr.t) (h : Matrix.Dense.t) =
+  let name = "Host_fused.fusedmm" in
+  Fusedmm.check ~name inst g h;
+  let z =
+    match out with
+    | None -> Matrix.Dense.create g.rows h.cols
+    | Some o ->
+        check_graph_out ~name ~rows:g.rows h o;
+        o
+  in
+  let d = h.cols and zd = z.data in
   if g.rows > 0 && d > 0 && Matrix.Csr.nnz g > 0 then
-    graph_rows pool g (fun w row s e ->
-        if e > s && semiring.op = Semiring.Max then
-          Array.fill z.data (row * d) d neg_infinity;
+    graph_rows ?guard pool g ~out:zd
+      ~row_start:(fun r -> r * d)
+      (fun w row s e ->
+        (* the row starts from the fold's identity; an empty row stays
+           zero *)
+        let init =
+          if e > s && semiring.op = Semiring.Max then neg_infinity else 0.0
+        in
+        for c = row * d to ((row + 1) * d) - 1 do
+          Array.unsafe_set zd c init
+        done;
         match inst with
         | Fusedmm.Spmm ->
             aggregate semiring.op z g h ~row ~lo:s ~hi:e g.values ~base:0
@@ -693,20 +751,26 @@ let fusedmm ?pool ?(semiring = Semiring.plain) inst (g : Matrix.Csr.t)
               edge_weights semiring g h ~row ~lo:k0 ~hi:k1 w ~base:k0;
               aggregate semiring.op z g h ~row ~lo:k0 ~hi:k1 w ~base:k0;
               k := k1
-            done);
+            done)
+  else begin
+    Array.fill zd 0 (Array.length zd) 0.0;
+    report_clean guard zd
+  end;
   z
 
-let sddmm ?pool ?(semiring = Semiring.plain) (g : Matrix.Csr.t)
+let sddmm ?pool ?(semiring = Semiring.plain) ?guard (g : Matrix.Csr.t)
     (h : Matrix.Dense.t) =
   Fusedmm.check ~name:"Host_fused.sddmm" Fusedmm.Sddmm_spmm g h;
   let nnz = Matrix.Csr.nnz g in
   let values = Array.make nnz 0.0 in
   if g.rows > 0 && nnz > 0 then
-    graph_rows pool g (fun _ row lo hi ->
-        edge_weights semiring g h ~row ~lo ~hi values ~base:0);
+    graph_rows ?guard pool g ~out:values
+      ~row_start:(fun r -> g.row_off.(r))
+      (fun _ row lo hi -> edge_weights semiring g h ~row ~lo ~hi values ~base:0)
+  else report_clean guard values;
   Matrix.Csr.create ~rows:g.rows ~cols:g.cols ~values ~col_idx:g.col_idx
     ~row_off:g.row_off
 
-let spmm ?pool ?semiring (s : Matrix.Csr.t) (h : Matrix.Dense.t) =
+let spmm ?pool ?semiring ?out ?guard (s : Matrix.Csr.t) (h : Matrix.Dense.t) =
   Fusedmm.check ~name:"Host_fused.spmm" Fusedmm.Spmm s h;
-  fusedmm ?pool ?semiring Fusedmm.Spmm s h
+  fusedmm ?pool ?semiring ?out ?guard Fusedmm.Spmm s h

@@ -155,6 +155,8 @@ val xt_p :
 val fusedmm :
   ?pool:Par.Pool.t ->
   ?semiring:Semiring.t ->
+  ?out:Matrix.Dense.t ->
+  ?guard:string ->
   Fusedmm.instantiation ->
   Matrix.Csr.t ->
   Matrix.Dense.t ->
@@ -162,22 +164,44 @@ val fusedmm :
 (** The fused chain without materialising [S]; matches [Fusedmm.fused]
     within floating-point reassociation error.  Degenerate shapes
     return the zero matrix without touching the pool.  Default
-    semiring: [Semiring.plain]. *)
+    semiring: [Semiring.plain].
+
+    With [out] every row of [Z] — empty rows and degenerate shapes
+    included — is written straight into it and [out] itself is
+    returned, with the same bits as a fresh result; otherwise a fresh
+    matrix is.  Raises [Invalid_argument] if [out] is not [G.rows x
+    H.cols] or is physically [h].
+
+    With [guard] (a guard point) each output row is checked for
+    non-finite values while it is still in L1, and the kernel raises
+    exactly the [Kf_resil.Guard.Unhealthy] that
+    [Kf_resil.Guard.check_vec ~point:guard] raises on the result (same
+    point, first index and value), counting the check the same way.
+    Only pass it when guards are enabled. *)
+
+val check_graph_out :
+  name:string -> rows:int -> Matrix.Dense.t -> Matrix.Dense.t -> unit
+(** [check_graph_out ~name ~rows h out]: the [out] validation of
+    {!fusedmm} and {!spmm}. *)
 
 val sddmm :
   ?pool:Par.Pool.t ->
   ?semiring:Semiring.t ->
+  ?guard:string ->
   Matrix.Csr.t ->
   Matrix.Dense.t ->
   Matrix.Csr.t
 (** Standalone row-parallel SDDMM (the unfused composition's first
-    kernel); same structure as [G], sampled values. *)
+    kernel); same structure as [G], sampled values.  [guard] as in
+    {!fusedmm}, over the sampled values. *)
 
 val spmm :
   ?pool:Par.Pool.t ->
   ?semiring:Semiring.t ->
+  ?out:Matrix.Dense.t ->
+  ?guard:string ->
   Matrix.Csr.t ->
   Matrix.Dense.t ->
   Matrix.Dense.t
 (** Standalone row-parallel SpMM (the unfused composition's second
-    kernel). *)
+    kernel); [out] and [guard] as in {!fusedmm}. *)

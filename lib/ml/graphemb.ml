@@ -9,6 +9,26 @@ type result = {
   timeline : Session.iteration list;
 }
 
+(* The convex step for rows [lo, hi): each non-isolated node moves
+   toward its degree-normalised attraction average [z]; isolated nodes
+   keep their embedding.  Returns the largest per-coordinate move. *)
+let step ~lr (g : Csr.t) (h : Dense.t) (z : Dense.t) ~lo ~hi =
+  let d = h.cols and hd = h.data and zd = z.data in
+  let dmax = ref 0.0 in
+  for r = lo to hi - 1 do
+    let deg = g.row_off.(r + 1) - g.row_off.(r) in
+    if deg > 0 then begin
+      let inv = lr /. float_of_int deg in
+      for k = r * d to ((r + 1) * d) - 1 do
+        let cur = Array.unsafe_get hd k in
+        let next = ((1.0 -. lr) *. cur) +. (inv *. Array.unsafe_get zd k) in
+        dmax := Float.max !dmax (Float.abs (next -. cur));
+        Array.unsafe_set hd k next
+      done
+    end
+  done;
+  !dmax
+
 (* Force2vec-style embedding training: each iteration pulls every node
    toward the sigmoid-weighted average of its neighbours' embeddings.
    The whole per-iteration force computation is one fused
@@ -34,6 +54,11 @@ let run ?engine ?pool ?(iterations = 10) ?(lr = 0.5) ?(tolerance = 0.0)
   let n = g.rows and d = h0.cols in
   let h = Dense.create n d in
   Array.blit h0.data 0 h.data 0 (n * d);
+  (* every iteration's attraction lands in this one matrix, and the
+     update runs on static row ranges of the pool *)
+  let z = Dense.create n d in
+  let pool = match pool with Some p -> p | None -> Par.Pool.default () in
+  let bounds = Par.Partition.uniform ~n ~parts:(Par.Pool.size pool) in
   let delta = ref infinity in
   let i = ref 0 in
   (match resume with
@@ -54,27 +79,16 @@ let run ?engine ?pool ?(iterations = 10) ?(lr = 0.5) ?(tolerance = 0.0)
       ]);
   while !i < iterations && !delta > tolerance do
     Session.iteration session (fun () ->
-        let z =
-          Session.fusedmm ~semiring:Fusion.Semiring.sigmoid session
-            Fusion.Fusedmm.Sddmm_spmm g h
+        ignore
+          (Session.fusedmm ~semiring:Fusion.Semiring.sigmoid ~out:z session
+             Fusion.Fusedmm.Sddmm_spmm g h);
+        (* the max is exact and order-free, so the per-range maxima fold
+           to the bits a sequential pass gives *)
+        let dmax =
+          Par.Pool.map_workers pool (fun wid ->
+              step ~lr g h z ~lo:bounds.(wid) ~hi:bounds.(wid + 1))
         in
-        (* convex step toward the attraction average; isolated nodes
-           keep their embedding *)
-        let dmax = ref 0.0 in
-        for r = 0 to n - 1 do
-          let deg = g.row_off.(r + 1) - g.row_off.(r) in
-          if deg > 0 then begin
-            let inv = lr /. float_of_int deg in
-            let base = r * d in
-            for c = 0 to d - 1 do
-              let cur = h.data.(base + c) in
-              let next = ((1.0 -. lr) *. cur) +. (inv *. z.data.(base + c)) in
-              dmax := Float.max !dmax (Float.abs (next -. cur));
-              h.data.(base + c) <- next
-            done
-          end
-        done;
-        delta := !dmax;
+        delta := Array.fold_left Float.max 0.0 dmax;
         incr i)
   done;
   {

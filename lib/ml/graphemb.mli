@@ -36,7 +36,13 @@ val run :
 (** [run device g h0] trains from the initial embedding [h0] (one row
     per node of the square adjacency [g]).  Defaults: 10 iterations,
     [lr = 0.5], [tolerance = 0.0] (run all iterations).  Raises
-    [Invalid_argument] on shape mismatches or [lr] outside (0, 1]. *)
+    [Invalid_argument] on shape mismatches or [lr] outside (0, 1].
+
+    Every iteration writes its attraction matrix into one matrix
+    allocated per training, and runs the update in static row ranges on
+    [pool] ([Par.Pool.default] when absent) on every engine.  The
+    result, [delta] included, is the same bit for bit at any pool
+    size. *)
 
 val default_dim : int
 (** Embedding width used by the registry's [train] (8). *)

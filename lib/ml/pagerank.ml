@@ -65,9 +65,11 @@ let run ?engine ?pool ?(iterations = 50) ?(damping = 0.85)
         ("pagerank.i", Kf_resil.Ckpt.Int !i);
       ]);
   let teleport = (1.0 -. damping) *. uniform in
+  let z = Dense.create n 1 in
   while !i < iterations && !delta > tolerance do
     Session.iteration session (fun () ->
-        let z = Session.spmm ~semiring:Fusion.Semiring.plain session w r in
+        ignore
+          (Session.spmm ~semiring:Fusion.Semiring.plain ~out:z session w r);
         let dmax = ref 0.0 in
         for k = 0 to n - 1 do
           let next = teleport +. (damping *. z.data.(k)) in

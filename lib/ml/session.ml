@@ -130,16 +130,16 @@ let sddmm ?semiring t g h =
        (Fusion.Executor.sddmm ~engine:t.engine ?pool:t.pool ?semiring t.device
           g h))
 
-let spmm ?semiring t s h =
+let spmm ?semiring ?out t s h =
   expect_dense
     (absorb_mat t
-       (Fusion.Executor.spmm ~engine:t.engine ?pool:t.pool ?semiring t.device s
-          h))
+       (Fusion.Executor.spmm ~engine:t.engine ?pool:t.pool ?semiring ?out
+          t.device s h))
 
-let fusedmm ?semiring t inst g h =
+let fusedmm ?semiring ?out t inst g h =
   expect_dense
     (absorb_mat t
-       (Fusion.Executor.fusedmm ~engine:t.engine ?pool:t.pool ?semiring
+       (Fusion.Executor.fusedmm ~engine:t.engine ?pool:t.pool ?semiring ?out
           t.device inst g h))
 
 (* Level-1 work is charged to the simulated device only on the engines

@@ -134,20 +134,26 @@ val sddmm :
 
 val spmm :
   ?semiring:Fusion.Semiring.t ->
+  ?out:Matrix.Dense.t ->
   t ->
   Matrix.Csr.t ->
   Matrix.Dense.t ->
   Matrix.Dense.t
-(** [Z_i = op_j (S_ij * H_j)] — the family's fusable floor. *)
+(** [Z_i = op_j (S_ij * H_j)] — the family's fusable floor.  With [out]
+    the result is written into it and [out] is returned (see
+    [Fusion.Executor.fusedmm]'s [?out]): same values, same accounting,
+    no result matrix allocated on the [Host] engine. *)
 
 val fusedmm :
   ?semiring:Fusion.Semiring.t ->
+  ?out:Matrix.Dense.t ->
   t ->
   Fusion.Fusedmm.instantiation ->
   Matrix.Csr.t ->
   Matrix.Dense.t ->
   Matrix.Dense.t
-(** The fused SDDMM ⊕ SpMM chain without materialising [S]. *)
+(** The fused SDDMM ⊕ SpMM chain without materialising [S]; [out] as in
+    {!spmm}. *)
 
 (** {1 Level-1 operations} (not traced — they are outside the pattern,
     the "BLAS-Level 1" column of Table 2)

@@ -28,19 +28,19 @@ let first_bad v =
 
 let healthy v = first_bad v = None
 
-let check_vec ~point v =
-  if !flag then begin
-    Kf_obs.Counter.incr checks;
-    match first_bad v with
-    | None -> ()
-    | Some i ->
-        Kf_obs.Counter.incr trips;
-        Kf_obs.Trace.instant "guard.trip"
-          ~args:
-            [
-              ("point", point);
-              ("index", string_of_int i);
-              ("value", string_of_float v.(i));
-            ];
-        raise (Unhealthy { point; index = i; value = v.(i) })
-  end
+let report ~point v first =
+  Kf_obs.Counter.incr checks;
+  match first with
+  | None -> ()
+  | Some i ->
+      Kf_obs.Counter.incr trips;
+      Kf_obs.Trace.instant "guard.trip"
+        ~args:
+          [
+            ("point", point);
+            ("index", string_of_int i);
+            ("value", string_of_float v.(i));
+          ];
+      raise (Unhealthy { point; index = i; value = v.(i) })
+
+let check_vec ~point v = if !flag then report ~point v (first_bad v)

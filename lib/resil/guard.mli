@@ -24,5 +24,13 @@ val check_vec : point:string -> float array -> unit
 (** Raise {!Unhealthy} on the first NaN/Inf in [v]; no-op when guards
     are disabled. *)
 
+val report : point:string -> float array -> int option -> unit
+(** The accounting half of {!check_vec}, for a producer that scanned
+    [v] itself while writing it: [first] must be the index of the first
+    non-finite element of [v] ([None] when there is none).  Counts the
+    check, and raises exactly the {!Unhealthy} that [check_vec ~point v]
+    would.  Ignores the enabled flag: the producer only scans when it is
+    set. *)
+
 val healthy : float array -> bool
 (** Pure scan, never raises, ignores the enabled flag. *)

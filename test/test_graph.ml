@@ -215,9 +215,11 @@ let prop_differential_random_graphs =
    boundary; dims 1, 3, 4, 5, 8 and 13 do the same for the 4-way
    unrolled dot and axpy.  Row r has degree [degs.(r mod 6)], with
    distinct columns and weights of both signs (so maxpool sees negative
-   scaled rows). *)
-let hub_graph () =
-  let n = 128 and degs = [| 0; 1; 31; 32; 33; 101 |] in
+   scaled rows).  [n] must exceed 101; at the default 128 rows every
+   pool runs the pass inline, from 256 rows pools of two or more
+   domains run it in parallel chunks. *)
+let hub_graph ?(n = 128) () =
+  let degs = [| 0; 1; 31; 32; 33; 101 |] in
   let rng = Rng.create 61 in
   let rows =
     Array.init n (fun r ->
@@ -296,18 +298,310 @@ let test_graphemb_pinned () =
   let nodes = 2000 in
   let g = Kf_ml.Dataset.adjacency rng ~nodes ~out_degree:8 in
   let h0 = Gen.dense rng ~rows:nodes ~cols:Kf_ml.Graphemb.default_dim in
-  let checksum ?pool engine =
+  let pins ?pool engine =
     let r = Kf_ml.Graphemb.run ~engine ?pool ~iterations:2 device g h0 in
     let h = r.Kf_ml.Graphemb.embedding in
     (* the model's weight vectors are the embedding's columns *)
     let col c = Array.init h.Dense.rows (fun r -> Dense.get h r c) in
-    Kf_resil.Ckpt.checksum_floats (Array.concat (List.init h.Dense.cols col))
+    ( Kf_resil.Ckpt.checksum_floats (Array.concat (List.init h.Dense.cols col)),
+      Printf.sprintf "%h" r.Kf_ml.Graphemb.delta )
   in
-  Alcotest.(check string) "host, 1 domain" "d3030f830bf35243"
-    (checksum ~pool:(Lazy.force pool1) Executor.Host);
-  Alcotest.(check string) "host, 2 domains" "d3030f830bf35243"
-    (checksum ~pool:(Lazy.force pool2) Executor.Host);
-  Alcotest.(check string) "fused" "8f3b018a9baf0733" (checksum Executor.Fused)
+  let check name (sum, delta) (sum', delta') =
+    Alcotest.(check string) (name ^ ": weights") sum sum';
+    Alcotest.(check string) (name ^ ": delta") delta delta'
+  in
+  check "host, 1 domain"
+    ("d3030f830bf35243", "0x1.0b055c05ec78ep+0")
+    (pins ~pool:(Lazy.force pool1) Executor.Host);
+  check "host, 2 domains"
+    ("d3030f830bf35243", "0x1.0b055c05ec78ep+0")
+    (pins ~pool:(Lazy.force pool2) Executor.Host);
+  check "fused"
+    ("8f3b018a9baf0733", "0x1.0b055c05ec78ep+0")
+    (pins Executor.Fused)
+
+(* ---- guard and fault recovery on graph ops ------------------------------ *)
+
+let unhealthy f =
+  match f () with
+  | _ -> Alcotest.fail "expected Guard.Unhealthy"
+  | exception Kf_resil.Guard.Unhealthy { point; index; value } ->
+      (point, index, value)
+
+let same_unhealthy msg (p, i, v) (p', i', v') =
+  Alcotest.(check string) (msg ^ ": point") p p';
+  Alcotest.(check int) (msg ^ ": index") i i';
+  Alcotest.(check int64)
+    (msg ^ ": value bits") (Int64.bits_of_float v) (Int64.bits_of_float v')
+
+let bits_equal msg (a : float array) (b : float array) =
+  Alcotest.(check int) (msg ^ ": length") (Array.length b) (Array.length a);
+  Array.iteri
+    (fun i x ->
+      if Int64.bits_of_float x <> Int64.bits_of_float b.(i) then
+        Alcotest.failf "%s: element %d is %h, want %h" msg i x b.(i))
+    a
+
+let dense_value (r : Executor.mat_result) =
+  match r.Executor.m_value with
+  | Executor.Dense d -> d
+  | Executor.Sparse _ -> Alcotest.fail "expected a dense result"
+
+(* A NaN in [h] poisons every engine's output alike, so the recovery
+   chain ends at the reference floor, and the executor must raise what
+   [Guard.check_vec] raises on the reference output.  A single poisoned
+   output is healed by the retry on the same engine, with the clean
+   bits. *)
+let test_graph_guard_and_recovery () =
+  let g = graph ~seed:91 ~nodes:64 ~out_degree:5 in
+  let h = embedding ~seed:92 ~nodes:64 ~dim:6 in
+  let bad = Dense.copy h in
+  Dense.set bad 59 5 Float.nan;
+  Dense.set bad 3 0 Float.nan;
+  let engine = Executor.Host and pool = Lazy.force pool2 in
+  let sr = Semiring.sigmoid and inst = Fusedmm.Sddmm_spmm in
+  Kf_resil.Guard.with_enabled true (fun () ->
+      let expect op reference run =
+        let want =
+          unhealthy (fun () ->
+              Kf_resil.Guard.check_vec
+                ~point:("executor." ^ op ^ ".reference")
+                reference)
+        in
+        same_unhealthy op want (unhealthy run)
+      in
+      expect "fusedmm"
+        (Fusedmm.fused ~semiring:sr inst g bad).Dense.data (fun () ->
+          Executor.fusedmm ~engine ~pool ~semiring:sr device inst g bad);
+      expect "sddmm" (Fusedmm.sddmm g bad).Csr.values (fun () ->
+          Executor.sddmm ~engine ~pool device g bad);
+      expect "spmm" (Fusedmm.spmm g bad).Dense.data (fun () ->
+          Executor.spmm ~engine ~pool device g bad);
+      let clean = Executor.fusedmm ~engine ~pool ~semiring:sr device inst g h in
+      let healed =
+        Kf_resil.Fault.with_config "nan:after=0:times=1" (fun () ->
+            Executor.fusedmm ~engine ~pool ~semiring:sr device inst g h)
+      in
+      Alcotest.(check string)
+        "healed on the host engine" clean.Executor.m_engine_used
+        healed.Executor.m_engine_used;
+      bits_equal "healed result" (dense_value healed).Dense.data
+        (dense_value clean).Dense.data)
+
+(* 512 nodes: rows 0-63 have 400 edges each, the others one, and node
+   511 is a neighbour of rows 60 and 500 only.  On a parallel pool the
+   light chunks finish long before the heavy first one, so the row
+   found bad first in time (500) is not the first in index order
+   (60). *)
+let skewed_graph () =
+  let n = 512 in
+  let rows =
+    Array.init n (fun r ->
+        let deg = if r < 64 then 400 else 1 in
+        let cols = List.init deg (fun t -> (r + 1 + t) mod (n - 1)) in
+        let cols = if r = 60 || r = 500 then (n - 1) :: cols else cols in
+        Array.of_list (List.sort compare cols))
+  in
+  let row_off = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun r cols -> row_off.(r + 1) <- row_off.(r) + Array.length cols)
+    rows;
+  let col_idx = Array.concat (Array.to_list rows) in
+  let rng = Rng.create 97 in
+  let values = Array.map (fun _ -> Rng.float rng 2.0 -. 1.0) col_idx in
+  Csr.create ~rows:n ~cols:n ~values ~col_idx ~row_off
+
+(* The host kernels check their rows as they write them: the exception
+   is the one a scan of the unguarded result raises, on every pool
+   size, and a clean result keeps its bits.  The executor trusts that
+   check only with guards on and no fault rule active. *)
+let test_graph_kernel_guard () =
+  let g = skewed_graph () in
+  let h = embedding ~seed:93 ~nodes:g.Csr.rows ~dim:16 in
+  let bad = Dense.copy h in
+  Dense.set bad 511 3 Float.nan;
+  let point = "test.graph" in
+  let scan v = unhealthy (fun () -> Kf_resil.Guard.check_vec ~point v) in
+  Kf_resil.Guard.with_enabled true (fun () ->
+      List.iter
+        (fun pool ->
+          let msg s = Printf.sprintf "%s, %d domains" s (Par.Pool.size pool) in
+          let fused ?guard h =
+            Fusion.Host_fused.fusedmm ~pool ~semiring:Semiring.sigmoid ?guard
+              Fusedmm.Sddmm_spmm g h
+          in
+          let spmm ?guard h =
+            Fusion.Host_fused.spmm ~pool ~semiring:Semiring.maxpool ?guard g h
+          in
+          let sddmm ?guard h = Fusion.Host_fused.sddmm ~pool ?guard g h in
+          same_unhealthy (msg "fusedmm")
+            (scan (fused bad).Dense.data)
+            (unhealthy (fun () -> fused ~guard:point bad));
+          same_unhealthy (msg "spmm")
+            (scan (spmm bad).Dense.data)
+            (unhealthy (fun () -> spmm ~guard:point bad));
+          same_unhealthy (msg "sddmm")
+            (scan (sddmm bad).Csr.values)
+            (unhealthy (fun () -> sddmm ~guard:point bad));
+          bits_equal (msg "clean fusedmm") (fused ~guard:point h).Dense.data
+            (fused h).Dense.data;
+          bits_equal (msg "clean sddmm") (sddmm ~guard:point h).Csr.values
+            (sddmm h).Csr.values)
+        (List.map Lazy.force [ pool1; pool2; pool4 ]);
+      let checked () =
+        (Executor.fusedmm ~engine:Executor.Host ~pool:(Lazy.force pool2)
+           device Fusedmm.Sddmm_spmm g h)
+          .Executor.m_checked
+      in
+      Alcotest.(check bool)
+        "guards on: checked in the kernel" true (checked ());
+      Alcotest.(check bool)
+        "fault rule active: scanned after poisoning" false
+        (Kf_resil.Fault.with_config "nan:after=1000" checked);
+      Alcotest.(check bool)
+        "guards off: not checked" false
+        (Kf_resil.Guard.with_enabled false checked))
+
+(* ---- the [?out] contract of the graph ops ------------------------------- *)
+
+let nan_matrix rows cols = Dense.init rows cols (fun _ _ -> Float.nan)
+
+let edgeless n =
+  Csr.create ~rows:n ~cols:n ~values:[||] ~col_idx:[||]
+    ~row_off:(Array.make (n + 1) 0)
+
+let raises_invalid msg f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" msg
+  | exception Invalid_argument _ -> ()
+
+(* An [out] prefilled with NaN comes back holding the fresh result's
+   bits — empty rows and degenerate shapes included — on the kernel and
+   through the executor, and is the returned matrix itself.  Engines
+   that cannot write in place copy into it, recovery paths included. *)
+let test_graph_out_contract () =
+  List.iter
+    (fun (gname, g, dim) ->
+      let n = g.Csr.rows in
+      let h = embedding ~seed:95 ~nodes:n ~dim in
+      List.iter
+        (fun pool ->
+          List.iter
+            (fun sr ->
+              List.iter
+                (fun inst ->
+                  let msg =
+                    Printf.sprintf "%s dim %d %s %s, %d domains" gname dim
+                      sr.Semiring.name (Fusedmm.inst_key inst)
+                      (Par.Pool.size pool)
+                  in
+                  let fresh =
+                    Fusion.Host_fused.fusedmm ~pool ~semiring:sr inst g h
+                  in
+                  let out = nan_matrix n dim in
+                  let z =
+                    Fusion.Host_fused.fusedmm ~pool ~semiring:sr ~out inst g h
+                  in
+                  Alcotest.(check bool) (msg ^ ": kernel returns out") true
+                    (z == out);
+                  bits_equal (msg ^ ": kernel") out.Dense.data fresh.Dense.data;
+                  let out = nan_matrix n dim in
+                  let r =
+                    Executor.fusedmm ~engine:Executor.Host ~pool ~semiring:sr
+                      ~out device inst g h
+                  in
+                  Alcotest.(check bool) (msg ^ ": executor returns out") true
+                    (dense_value r == out);
+                  bits_equal (msg ^ ": executor") out.Dense.data
+                    fresh.Dense.data)
+                Fusedmm.instantiations;
+              let out = nan_matrix n dim in
+              let r =
+                Executor.spmm ~engine:Executor.Host ~pool ~semiring:sr ~out
+                  device g h
+              in
+              Alcotest.(check bool) (gname ^ " spmm returns out") true
+                (dense_value r == out);
+              bits_equal (gname ^ " spmm") out.Dense.data
+                (Fusion.Host_fused.spmm ~pool ~semiring:sr g h).Dense.data)
+            Semiring.all)
+        (List.map Lazy.force [ pool1; pool2; pool4 ]))
+    [
+      ("hub", hub_graph ~n:300 (), 5);
+      ("nnz = 0", edgeless 300, 4);
+      ("d = 0", hub_graph ~n:300 (), 0);
+    ];
+  let g = hub_graph ~n:300 () in
+  let h = embedding ~seed:96 ~nodes:g.Csr.rows ~dim:5 in
+  let pool = Lazy.force pool2 and sr = Semiring.sigmoid in
+  raises_invalid "kernel out == h" (fun () ->
+      Fusion.Host_fused.fusedmm ~pool ~out:h Fusedmm.Spmm g h);
+  raises_invalid "executor out == h" (fun () ->
+      Executor.fusedmm ~engine:Executor.Host ~pool ~out:h device Fusedmm.Spmm
+        g h);
+  raises_invalid "executor spmm out == h" (fun () ->
+      Executor.spmm ~out:h device g h);
+  raises_invalid "out of the wrong shape" (fun () ->
+      Executor.fusedmm
+        ~out:(Dense.create g.Csr.rows 4)
+        device Fusedmm.Spmm g h);
+  (* every launch of the host kernel fails: the Library fallback's
+     result lands in [out]; with every launch failing, the reference
+     floor's does *)
+  let into spec =
+    let out = nan_matrix g.Csr.rows 5 in
+    let r =
+      Kf_resil.Fault.with_config spec (fun () ->
+          Executor.fusedmm ~engine:Executor.Host ~pool ~semiring:sr ~out device
+            Fusedmm.Sddmm_spmm g h)
+    in
+    Alcotest.(check bool) (spec ^ ": returns out") true (dense_value r == out);
+    (r.Executor.m_engine_used, out.Dense.data)
+  in
+  let library =
+    Executor.fusedmm ~engine:Executor.Library ~semiring:sr device
+      Fusedmm.Sddmm_spmm g h
+  in
+  let used, z = into "launch:every=1:point=host_fused" in
+  Alcotest.(check string)
+    "library fallback" library.Executor.m_engine_used used;
+  bits_equal "library fallback into out" z (dense_value library).Dense.data;
+  let used, z = into "launch:every=1" in
+  Alcotest.(check string) "reference floor" "reference sequential fusedmm" used;
+  bits_equal "reference floor into out" z
+    (Fusedmm.fused ~semiring:sr Fusedmm.Sddmm_spmm g h).Dense.data
+
+(* ---- steady-state allocation of a graphemb iteration -------------------- *)
+
+(* After the first iteration a host GraphEmb iteration writes its
+   attraction into the training's one [z]: the major heap grows by less
+   than one [z] (nodes x dim words) per iteration. *)
+let test_graphemb_steady_state () =
+  let nodes = 2000 and dim = Kf_ml.Graphemb.default_dim in
+  let rng = Rng.create 7 in
+  let g = Kf_ml.Dataset.adjacency rng ~nodes ~out_degree:8 in
+  let h0 = Gen.dense rng ~rows:nodes ~cols:dim in
+  List.iter
+    (fun pool ->
+      (* a minor collection first flushes the domain's allocation
+         tallies into the statistics *)
+      let now () =
+        Gc.minor ();
+        (Gc.quick_stat ()).Gc.major_words
+      in
+      let major_words iterations =
+        let before = now () in
+        ignore
+          (Kf_ml.Graphemb.run ~engine:Executor.Host ~pool ~iterations device g
+             h0);
+        now () -. before
+      in
+      ignore (major_words 1);
+      let per_iteration = (major_words 5 -. major_words 1) /. 4.0 in
+      if per_iteration >= float_of_int (nodes * dim) then
+        Alcotest.failf "%d domains: %.0f major words per iteration, one z is %d"
+          (Par.Pool.size pool) per_iteration (nodes * dim))
+    (List.map Lazy.force [ pool1; pool2 ])
 
 (* ---- dist fallback warns once per op ------------------------------------ *)
 
@@ -595,6 +889,13 @@ let suite =
       test_host_chunk_boundaries;
     Alcotest.test_case "graphemb weights are pinned" `Quick
       test_graphemb_pinned;
+    Alcotest.test_case "graph ops guard and recover" `Quick
+      test_graph_guard_and_recovery;
+    Alcotest.test_case "host graph kernels guard their rows" `Quick
+      test_graph_kernel_guard;
+    Alcotest.test_case "graph ops honour out" `Quick test_graph_out_contract;
+    Alcotest.test_case "graphemb iteration allocates no z" `Quick
+      test_graphemb_steady_state;
     Alcotest.test_case "dist fallback warns once per op" `Quick
       test_dist_fallback_warns_once;
     Alcotest.test_case "warp max tree reduction" `Quick test_tree_reduce_max;
