@@ -25,6 +25,7 @@ type result = {
   instantiation : Pattern.instantiation option;
   engine_used : string;
   profile : profile;
+  checked : bool;
 }
 
 let rows = function
@@ -82,14 +83,16 @@ let finish ~op ~input ~t0 ~instantiation ~engine_used w reports =
   Log.debug (fun m ->
       m "%s: %d kernel(s), %.3f ms" engine_used (List.length reports) time_ms);
   let profile = mk_profile ~op ~input ~decision:engine_used ~t0 ~host:None in
-  { w; reports; time_ms; instantiation; engine_used; profile }
+  { w; reports; time_ms; instantiation; engine_used; profile; checked = false }
 
 (* The host backend runs for real, so [time_ms] is measured wall-clock
    rather than simulated device time, and there are no kernel reports.
    Each op gets a fresh [Host_stats] installed as the ambient sink, so
    the pool, the fused host kernels and the parallel BLAS record into
-   it; the per-op stats ride back on [profile.host]. *)
-let finish_host ~op ~input ~t0 ~instantiation ~engine_used ~pool f =
+   it; the per-op stats ride back on [profile.host].  [checked] says
+   whether the kernel checked its own output (see [kernel_guard]). *)
+let finish_host ~op ~input ~t0 ~instantiation ~engine_used ~pool
+    ?(checked = false) f =
   let stats = Kf_obs.Host_stats.create ~domains:(Par.Pool.size pool) in
   let w = Kf_obs.Host_stats.with_sink stats f in
   (* Fold per-op stats into any enclosing ambient sink (e.g. the CLI's
@@ -104,7 +107,7 @@ let finish_host ~op ~input ~t0 ~instantiation ~engine_used ~pool f =
   Kf_obs.Counter.incr host_ops_counter;
   let time_ms = Kf_obs.Clock.ns_to_ms profile.wall_ns in
   Log.debug (fun m -> m "%s: %.3f ms wall-clock" engine_used time_ms);
-  { w; reports = []; time_ms; instantiation; engine_used; profile }
+  { w; reports = []; time_ms; instantiation; engine_used; profile; checked }
 
 let host_pool = function Some p -> p | None -> Par.Pool.default ()
 
@@ -126,7 +129,15 @@ let finish_dist ~op ~input ~t0 ~instantiation ~cluster f =
   Kf_obs.Counter.incr dist_ops_counter;
   let time_ms = Kf_obs.Clock.ns_to_ms profile.wall_ns in
   Log.debug (fun m -> m "%s: %.3f ms wall-clock" engine_used time_ms);
-  { w; reports = []; time_ms; instantiation; engine_used; profile }
+  {
+    w;
+    reports = [];
+    time_ms;
+    instantiation;
+    engine_used;
+    profile;
+    checked = false;
+  }
 
 (* --- guarded dispatch ----------------------------------------------------- *)
 
@@ -197,9 +208,16 @@ let reference_result ~op ~input ~t0 ~instantiation w =
     instantiation;
     engine_used;
     profile;
+    checked = false;
   }
 
-let unchecked _ = false
+(* The guard point a host kernel checks its output against: only when
+   [guarded] would scan the result anyway (guards on) and nothing
+   writes it after dispatch (no fault rule active). *)
+let kernel_guard op =
+  if Kf_resil.Guard.enabled () && not (Kf_resil.Fault.active ()) then
+    Some ("executor." ^ op)
+  else None
 
 (* Polymorphic over the result record — Equation-1 ops guard a vector
    result, the graph ops a matrix one; [vec_of] projects the raw float
@@ -289,6 +307,7 @@ let xt_y ?(engine = Fused) ?pool ?cluster device input y ~alpha =
     let w = Matrix.Blas.finish_pattern ~alpha ~beta:None ~z:None w in
     reference_result ~op ~input ~t0 ~instantiation w
   in
+  let guard = kernel_guard op in
   let rec dispatch engine =
   match (engine, input) with
   | Dist, _ -> (
@@ -310,8 +329,8 @@ let xt_y ?(engine = Fused) ?pool ?cluster device input y ~alpha =
       in
       finish_host ~instantiation
         ~engine_used:(host_engine_used ~kernel:"fused X^T*p" ~pool ~variant)
-        ~pool
-        (fun () -> Host_fused.xt_p ~pool ~variant ~alpha x y)
+        ~pool ~checked:(guard <> None)
+        (fun () -> Host_fused.xt_p ~pool ~variant ?guard ~alpha x y)
   | Host, Dense x ->
       (* Mirrors the Fused/Library dense dispatch: X^T*y is a single
          pass already, so the "library" gemv_t is used, parallelised. *)
@@ -343,8 +362,8 @@ let xt_y ?(engine = Fused) ?pool ?cluster device input y ~alpha =
       let w, reports = library_epilogue device ~alpha ~beta_z:None w reports in
       finish ~instantiation ~engine_used:"cublas gemv (transpose)" w reports
   in
-  guarded ~op ~engine ~vec_of:(fun r -> r.w) ~checked:unchecked ~reference
-    ~dispatch
+  guarded ~op ~engine ~vec_of:(fun r -> r.w) ~checked:(fun r -> r.checked)
+    ~reference ~dispatch
 
 let library_pattern device input ~y ?v ?beta_z ~alpha () =
   let p, reports =
@@ -410,6 +429,7 @@ let pattern ?(engine = Fused) ?pool ?cluster ?out device input ~y ?v ?beta_z
     in
     into out (reference_result ~op ~input ~t0 ~instantiation w)
   in
+  let guard = kernel_guard op in
   let rec dispatch engine =
   match (engine, input) with
   | Dist, _ -> (
@@ -433,10 +453,10 @@ let pattern ?(engine = Fused) ?pool ?cluster ?out device input ~y ?v ?beta_z
       in
       finish_host ~instantiation
         ~engine_used:(host_engine_used ~kernel:"fused sparse" ~pool ~variant)
-        ~pool
+        ~pool ~checked:(guard <> None)
         (fun () ->
-          Host_fused.pattern_sparse ~pool ~variant ?out ~alpha x ?v y ?beta ?z
-            ())
+          Host_fused.pattern_sparse ~pool ~variant ?out ?guard ~alpha x ?v y
+            ?beta ?z ())
   | Host, Dense x ->
       let pool = host_pool pool in
       let variant =
@@ -445,10 +465,10 @@ let pattern ?(engine = Fused) ?pool ?cluster ?out device input ~y ?v ?beta_z
       in
       finish_host ~instantiation
         ~engine_used:(host_engine_used ~kernel:"fused dense" ~pool ~variant)
-        ~pool
+        ~pool ~checked:(guard <> None)
         (fun () ->
-          Host_fused.pattern_dense ~pool ~variant ?out ~alpha x ?v y ?beta ?z
-            ())
+          Host_fused.pattern_dense ~pool ~variant ?out ?guard ~alpha x ?v y
+            ?beta ?z ())
   | Fused, Sparse x ->
       let w, reports, plan =
         Fused_sparse.pattern device x ~y ?v ?beta_z ~alpha ()
@@ -480,7 +500,8 @@ let pattern ?(engine = Fused) ?pool ?cluster ?out device input ~y ?v ?beta_z
       in
       finish ~instantiation ~engine_used w reports
   in
-  guarded ~op ~engine ~vec_of:(fun r -> r.w) ~checked:unchecked ~reference
+  guarded ~op ~engine ~vec_of:(fun r -> r.w) ~checked:(fun r -> r.checked)
+    ~reference
     ~dispatch:(fun e -> into out (dispatch e))
 
 let x_y ?(engine = Fused) ?pool ?cluster device input y =
@@ -532,8 +553,8 @@ let x_y ?(engine = Fused) ?pool ?cluster device input y =
       let w, reports = Gpulibs.Cublas.gemv device x y in
       finish ~instantiation ~engine_used:"cublas gemv" w reports
   in
-  guarded ~op ~engine ~vec_of:(fun r -> r.w) ~checked:unchecked ~reference
-    ~dispatch
+  guarded ~op ~engine ~vec_of:(fun r -> r.w) ~checked:(fun r -> r.checked)
+    ~reference ~dispatch
 
 (* --- graph ops: the fusedmm family ----------------------------------------- *)
 
@@ -607,14 +628,6 @@ let reference_mat ~op ~input ~t0 ~desc value =
     m_profile = profile;
     m_checked = false;
   }
-
-(* The guard point the host graph kernels check their output rows
-   against: only when [guarded] would scan the result anyway (guards
-   on) and nothing writes it after dispatch (no fault rule active). *)
-let kernel_guard op =
-  if Kf_resil.Guard.enabled () && not (Kf_resil.Fault.active ()) then
-    Some ("executor." ^ op)
-  else None
 
 (* [into] for the dense graph results: one not written in place is
    copied over [out]. *)

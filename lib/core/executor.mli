@@ -77,6 +77,10 @@ type result = {
       (** human-readable description of the dispatch decision, e.g.
           ["fused sparse (large-n)"] or ["cublas gemv + gemv_t"] *)
   profile : profile;
+  checked : bool;
+      (** the [Host] Equation-1 kernel checked [w] for non-finite
+          values itself (guards on, no fault rule active), so the
+          executor's separate guard scan was skipped *)
 }
 
 val rows : input -> int
@@ -99,7 +103,9 @@ val xt_y :
   alpha:float ->
   result
 (** [alpha * X^T x y] — the first row of Table 1 ([y] has [rows]
-    elements). *)
+    elements).  With guards on and no fault rule active, the sparse
+    [Host] kernel checks its own output ([checked]), raising the same
+    [Kf_resil.Guard.Unhealthy] the executor's scan would. *)
 
 val pattern :
   ?engine:engine ->
@@ -124,7 +130,12 @@ val pattern :
     chain, copy their result over it.  The values are the same as
     without [out], bit for bit.  Raises [Invalid_argument] if [out]
     does not have one element per column or is physically one of [y],
-    [v], [z]. *)
+    [v], [z].
+
+    With guards on and no fault rule active, the [Host] kernels check
+    their own output — [Dense_acc] in the pass that writes it — and
+    raise the same [Kf_resil.Guard.Unhealthy] the executor's scan
+    would, which then skips that scan ([checked]). *)
 
 val x_y :
   ?engine:engine ->

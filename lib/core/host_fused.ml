@@ -30,12 +30,13 @@ let choose_variant ?budget_bytes ~domains ~cols () =
 
 let get_pool = function Some p -> p | None -> Par.Pool.default ()
 
-(* Tree-merge step over the first [n] elements of two scratch
-   accumulators, 4-way unrolled.  The buffers may be longer than [n]
-   (pool scratch is grow-only), so the length is passed, never read. *)
-let merge_add ~n ~(dst : float array) ~(src : float array) =
-  let i = ref 0 in
-  while !i + 4 <= n do
+(* One tree-merge step, [dst += src] over the columns [lo, hi) of two
+   scratch accumulators, 4-way unrolled.  The buffers may be longer
+   than the output (pool scratch is grow-only), so the range is passed,
+   never read off them. *)
+let merge_add ~lo ~hi ~(dst : float array) ~(src : float array) =
+  let i = ref lo in
+  while !i + 4 <= hi do
     let i0 = !i in
     Array.unsafe_set dst i0
       (Array.unsafe_get dst i0 +. Array.unsafe_get src i0);
@@ -47,7 +48,7 @@ let merge_add ~n ~(dst : float array) ~(src : float array) =
       (Array.unsafe_get dst (i0 + 3) +. Array.unsafe_get src (i0 + 3));
     i := i0 + 4
   done;
-  while !i < n do
+  while !i < hi do
     Array.unsafe_set dst !i
       (Array.unsafe_get dst !i +. Array.unsafe_get src !i);
     incr i
@@ -64,20 +65,37 @@ let epilogue_of ~beta ~z =
       else None
   | None, Some _ -> invalid_arg "Blas.pattern: z given without beta"
 
-(* Convert a merged accumulator into the caller's result [out], folding
-   [alpha] and [beta * z] into the one write pass. *)
-let finalize ~alpha ~beta_z (m : float array) ~(out : float array) =
-  let cols = Array.length out in
+(* Write [alpha * m + beta * z] over the columns [lo, hi) of [out]. *)
+let epilogue_range ~alpha ~beta_z (m : float array) ~(out : float array) ~lo
+    ~hi =
   match beta_z with
   | None ->
-      for c = 0 to cols - 1 do
+      for c = lo to hi - 1 do
         Array.unsafe_set out c (alpha *. Array.unsafe_get m c)
       done
-  | Some (beta, z) ->
-      for c = 0 to cols - 1 do
+  | Some (beta, (z : float array)) ->
+      for c = lo to hi - 1 do
         Array.unsafe_set out c
           ((alpha *. Array.unsafe_get m c) +. (beta *. Array.unsafe_get z c))
       done
+
+let rec atomic_min (a : int Atomic.t) v =
+  let cur = Atomic.get a in
+  if v < cur && not (Atomic.compare_and_set a cur v) then atomic_min a v
+
+(* The guard's verdict on [out] from the least bad index the workers
+   found ([max_int] when none did). *)
+let report_bad guard out bad =
+  Option.iter
+    (fun point ->
+      let b = Atomic.get bad in
+      Kf_resil.Guard.report ~point out (if b = max_int then -1 else b))
+    guard
+
+(* One scan at the end, for the exits that do not check as they
+   write. *)
+let check_after guard out =
+  Option.iter (fun point -> Kf_resil.Guard.check_vec ~point out) guard
 
 (* [out] is written while the kernels still read y, v and z, and a
    retry rereads them after a failed attempt wrote [out]: it must be
@@ -112,9 +130,10 @@ let check_sparse_args (x : Matrix.Csr.t) ~v ~y ~z ~name =
 
 (* Degenerate shapes never reach the pool: the alpha term is a sum over
    zero rows (or zero columns), so the result is just the epilogue. *)
-let degenerate ~alpha ~beta ~z ~out =
+let degenerate ?guard ~alpha ~beta ~z ~out () =
   Array.fill out 0 (Array.length out) 0.0;
   ignore (Matrix.Blas.finish_pattern ~alpha ~beta ~z out);
+  check_after guard out;
   out
 
 (* One fused pass over the rows [rlo, rhi) of [x], scattering each row's
@@ -232,27 +251,77 @@ let record_accs ~count ~elems =
       Kf_obs.Host_stats.record_alloc ~bytes:(8 * elems)
     done
 
-let record_merge_traffic ~workers ~cols =
-  (* each of the (workers - 1) pairwise tree merges reads dst + src and
-     writes dst: 24 bytes per element. *)
-  if Kf_obs.Host_stats.profiling () then
-    Kf_obs.Host_stats.record_merge_bytes ~bytes:((workers - 1) * cols * 8 * 3)
-
 (* The per-domain accumulators of [Dense_acc]: each worker's [Acc]
    scratch buffer, zero-filled by its owner inside the job. *)
 let dense_acc_buffers pool ~cols =
   Array.init (Par.Pool.size pool) (fun wid ->
       Par.Pool.scratch pool Par.Pool.Acc ~wid cols)
 
-(* Tree-merge the per-domain accumulators into [parts.(0)]. *)
-let merge_accs pool parts ~cols =
-  let merged = Par.Pool.reduce pool ~merge:(merge_add ~n:cols) parts in
-  record_merge_traffic ~workers:(Par.Pool.size pool) ~cols;
-  merged
+(* The tree merge's rounds: stride 1 merges (0,1), (2,3), ...; stride 2
+   merges (0,2), (4,6), ...; and so on, [dst += src] for each pair — the
+   log-depth order of the paper's inter-block sweep, so the merged sum
+   is [(a0 + a1) + (a2 + a3)] for four domains and [(a0 + a1) + a2] for
+   three.  The pairs of one round are disjoint. *)
+let iter_merge_rounds ~workers ~round ~pair =
+  let s = ref 1 in
+  while !s < workers do
+    round ();
+    let i = ref 0 in
+    while !i + !s < workers do
+      pair ~dst:!i ~src:(!i + !s);
+      i := !i + (2 * !s)
+    done;
+    s := 2 * !s
+  done
 
-(* Dense_acc: nnz-balanced row ranges, per-domain accumulators, tree
-   merge — the three-tier hierarchical aggregation in one matrix
-   walk. *)
+(* Recorded on the coordinator (the tallies are single-writer): one
+   pass per round, one op per pair, and 24 bytes per column per pair
+   (each merge reads dst and src and writes dst). *)
+let record_merge ~workers ~cols =
+  if Kf_obs.Host_stats.profiling () then begin
+    iter_merge_rounds ~workers ~round:Kf_obs.Host_stats.record_merge_pass
+      ~pair:(fun ~dst:_ ~src:_ -> Kf_obs.Host_stats.record_merge_op ());
+    Kf_obs.Host_stats.record_merge_bytes ~bytes:((workers - 1) * cols * 8 * 3)
+  end
+
+(* Columns per step of the finish pass: the accumulators', [z]'s and
+   [out]'s slices of one step stay in L1 from the merge through the
+   guard's check. *)
+let finish_block = 512
+
+(* [Dense_acc]'s finish: one pass over column ranges on the pool, each
+   range merging the per-domain accumulators in the tree's pair order
+   ([iter_merge_rounds]), writing [alpha * m + beta * z] into [out],
+   and — with [guard] — checking the slice it just wrote.  The merge,
+   the epilogue and the guard's scan were three passes on the
+   coordinator; the bits are the same, since every column sees the
+   same additions in the same order.  A range keeps its first bad
+   index, and the least over all ranges is the one a scan of [out]
+   finds first: [report_bad] raises what [Guard.check_vec] would.
+   [Par.Pool.parallel_for]'s cutoff keeps narrow outputs on the
+   coordinator. *)
+let finish_dense_acc ?guard pool parts ~alpha ~beta_z ~out =
+  let workers = Array.length parts and cols = Array.length out in
+  record_merge ~workers ~cols;
+  let bad = Atomic.make max_int in
+  Par.Pool.parallel_for pool ~lo:0 ~hi:cols (fun lo hi ->
+      let first = ref (-1) and b = ref lo in
+      while !b < hi do
+        let lo = !b in
+        let hi = min hi (lo + finish_block) in
+        iter_merge_rounds ~workers ~round:ignore ~pair:(fun ~dst ~src ->
+            merge_add ~lo ~hi ~dst:parts.(dst) ~src:parts.(src));
+        epilogue_range ~alpha ~beta_z parts.(0) ~out ~lo ~hi;
+        if guard <> None && !first < 0 then
+          first := Kf_resil.Guard.first_non_finite out ~lo ~hi;
+        b := hi
+      done;
+      if !first >= 0 then atomic_min bad !first);
+  report_bad guard out bad
+
+(* Dense_acc: nnz-balanced row ranges, each scattered into its
+   domain's accumulator in one matrix walk; [finish_dense_acc] merges
+   them. *)
 let sparse_dense_acc pool (x : Matrix.Csr.t) ~p_of =
   let workers = Par.Pool.size pool in
   let bounds = Par.Partition.by_prefix ~prefix:x.row_off ~parts:workers () in
@@ -266,7 +335,7 @@ let sparse_dense_acc pool (x : Matrix.Csr.t) ~p_of =
           ~nnz:(x.row_off.(bounds.(wid + 1)) - x.row_off.(bounds.(wid)));
       sparse_scatter_rows_acc x ~p_of ~w ~rlo:bounds.(wid)
         ~rhi:bounds.(wid + 1));
-  merge_accs pool parts ~cols:x.cols
+  parts
 
 (* Col_partition (legacy baseline): [p] is materialised by a
    row-parallel pass, then every domain streams the matrix filtering
@@ -324,8 +393,8 @@ let sparse_blocked pool ?tile_rows ?tile_cols (x : Matrix.Csr.t) ~p_of ~alpha
   let t = Matrix.Tiles.layout ?tile_cols ~parts:workers x in
   Matrix.Tiles.scatter ~pool ~credit:false t x ~p ~alpha ?beta_z ~out ()
 
-let run_sparse ?pool ?variant ?tile_rows ?tile_cols (x : Matrix.Csr.t) ~p_of
-    ~alpha ~beta ~z ~out =
+let run_sparse ?pool ?variant ?tile_rows ?tile_cols ?guard (x : Matrix.Csr.t)
+    ~p_of ~alpha ~beta ~z ~out =
   (* armed fault point: only fires under the executor's recovery scope *)
   Kf_resil.Fault.check Kf_resil.Fault.Launch ~point:"host_fused.sparse";
   let pool = get_pool pool in
@@ -338,35 +407,39 @@ let run_sparse ?pool ?variant ?tile_rows ?tile_cols (x : Matrix.Csr.t) ~p_of
   (match variant with
   | Dense_acc ->
       let beta_z = epilogue_of ~beta ~z in
-      let m = sparse_dense_acc pool x ~p_of in
-      finalize ~alpha ~beta_z m ~out
+      let parts = sparse_dense_acc pool x ~p_of in
+      finish_dense_acc ?guard pool parts ~alpha ~beta_z ~out
   | Col_partition ->
       let w = sparse_col_partition pool x ~p_of in
-      Array.blit (Matrix.Blas.finish_pattern ~alpha ~beta ~z w) 0 out 0 x.cols
+      let w = Matrix.Blas.finish_pattern ~alpha ~beta ~z w in
+      Array.blit w 0 out 0 x.cols;
+      check_after guard out
   | Blocked ->
       let beta_z = epilogue_of ~beta ~z in
-      sparse_blocked pool ?tile_rows ?tile_cols x ~p_of ~alpha ~beta_z ~out);
+      sparse_blocked pool ?tile_rows ?tile_cols x ~p_of ~alpha ~beta_z ~out;
+      check_after guard out);
   out
 
-let pattern_sparse ?pool ?variant ?tile_rows ?tile_cols ?out ~alpha
+let pattern_sparse ?pool ?variant ?tile_rows ?tile_cols ?out ?guard ~alpha
     (x : Matrix.Csr.t) ?v y ?beta ?z () =
   let name = "Host_fused.pattern_sparse" in
   check_sparse_args x ~v ~y ~z ~name;
   let out = output ~name ?out ~cols:x.cols ~y ~v ~z () in
   if x.rows = 0 || x.cols = 0 || Matrix.Csr.nnz x = 0 then
-    degenerate ~alpha ~beta ~z ~out
+    degenerate ?guard ~alpha ~beta ~z ~out ()
   else
-    run_sparse ?pool ?variant ?tile_rows ?tile_cols x
+    run_sparse ?pool ?variant ?tile_rows ?tile_cols ?guard x
       ~p_of:(sparse_row_dot x y ~v) ~alpha ~beta ~z ~out
 
-let xt_p ?pool ?variant ?tile_rows ?tile_cols ~alpha (x : Matrix.Csr.t) p =
+let xt_p ?pool ?variant ?tile_rows ?tile_cols ?guard ~alpha (x : Matrix.Csr.t)
+    p =
   if Array.length p <> x.rows then
     invalid_arg "Host_fused.xt_p: p must have one element per row";
   let out = Array.create_float x.cols in
   if x.rows = 0 || x.cols = 0 || Matrix.Csr.nnz x = 0 then
-    degenerate ~alpha ~beta:None ~z:None ~out
+    degenerate ?guard ~alpha ~beta:None ~z:None ~out ()
   else
-    run_sparse ?pool ?variant ?tile_rows ?tile_cols x
+    run_sparse ?pool ?variant ?tile_rows ?tile_cols ?guard x
       ~p_of:(fun r _s _e -> p.(r))
       ~alpha ~beta:None ~z:None ~out
 
@@ -465,7 +538,7 @@ let dense_dense_acc pool (x : Matrix.Dense.t) ~p_of =
         if pr <> 0.0 then
           dense_axpy_row x.data ~base:(r * x.cols) ~pr ~w ~clo:0 ~chi:x.cols
       done);
-  merge_accs pool parts ~cols:x.cols
+  parts
 
 let dense_col_partition pool (x : Matrix.Dense.t) ~p_of =
   let workers = Par.Pool.size pool in
@@ -507,12 +580,12 @@ let dense_blocked pool ?tile_rows ?tile_cols (x : Matrix.Dense.t) ~p_of ~alpha
   Matrix.Blas.owner_gemv_t ~pool ?tile_rows ?tile_cols ~credit:false ~alpha
     ?beta_z x p ~out
 
-let pattern_dense ?pool ?variant ?tile_rows ?tile_cols ?out ~alpha
+let pattern_dense ?pool ?variant ?tile_rows ?tile_cols ?out ?guard ~alpha
     (x : Matrix.Dense.t) ?v y ?beta ?z () =
   let name = "Host_fused.pattern_dense" in
   check_dense_args x ~v ~y ~z ~name;
   let out = output ~name ?out ~cols:x.cols ~y ~v ~z () in
-  if x.rows = 0 || x.cols = 0 then degenerate ~alpha ~beta ~z ~out
+  if x.rows = 0 || x.cols = 0 then degenerate ?guard ~alpha ~beta ~z ~out ()
   else begin
     Kf_resil.Fault.check Kf_resil.Fault.Launch ~point:"host_fused.dense";
     let pool = get_pool pool in
@@ -526,14 +599,17 @@ let pattern_dense ?pool ?variant ?tile_rows ?tile_cols ?out ~alpha
     (match variant with
     | Dense_acc ->
         let beta_z = epilogue_of ~beta ~z in
-        let m = dense_dense_acc pool x ~p_of in
-        finalize ~alpha ~beta_z m ~out
+        let parts = dense_dense_acc pool x ~p_of in
+        finish_dense_acc ?guard pool parts ~alpha ~beta_z ~out
     | Col_partition ->
         let w = dense_col_partition pool x ~p_of in
-        Array.blit (Matrix.Blas.finish_pattern ~alpha ~beta ~z w) 0 out 0 x.cols
+        let w = Matrix.Blas.finish_pattern ~alpha ~beta ~z w in
+        Array.blit w 0 out 0 x.cols;
+        check_after guard out
     | Blocked ->
         let beta_z = epilogue_of ~beta ~z in
-        dense_blocked pool ?tile_rows ?tile_cols x ~p_of ~alpha ~beta_z ~out);
+        dense_blocked pool ?tile_rows ?tile_cols x ~p_of ~alpha ~beta_z ~out;
+        check_after guard out);
     out
   end
 
@@ -656,22 +732,6 @@ let aggregate (op : Semiring.op) (z : Matrix.Dense.t) (g : Matrix.Csr.t)
         done
       done
 
-(* The first index from [i] below [hi] whose value is not finite, or
-   -1: [x -. x] is 0 for every finite [x] and NaN otherwise. *)
-let rec first_non_finite (v : float array) i ~hi =
-  if i >= hi then -1
-  else
-    let x = Array.unsafe_get v i in
-    if x -. x = 0.0 then first_non_finite v (i + 1) ~hi else i
-
-let rec atomic_min (a : int Atomic.t) v =
-  let cur = Atomic.get a in
-  if v < cur && not (Atomic.compare_and_set a cur v) then atomic_min a v
-
-(* A degenerate shape's output is all zeros: the guard's check passes. *)
-let report_clean guard out =
-  Option.iter (fun point -> Kf_resil.Guard.report ~point out None) guard
-
 (* The row-parallel pass of both graph kernels: [row_fn w row s e] for
    every row, its edges [s, e) and a per-domain chunk buffer [w].
    Output rows are disjoint, so the per-domain-accumulator/merge
@@ -701,14 +761,11 @@ let graph_rows ?guard pool (g : Matrix.Csr.t) ~out ~row_start row_fn =
         row_fn w row g.row_off.(row) g.row_off.(row + 1);
         if scan && !first < 0 then
           first :=
-            first_non_finite out (row_start row) ~hi:(row_start (row + 1))
+            Kf_resil.Guard.first_non_finite out ~lo:(row_start row)
+              ~hi:(row_start (row + 1))
       done;
       if !first >= 0 then atomic_min bad !first);
-  Option.iter
-    (fun point ->
-      let b = Atomic.get bad in
-      Kf_resil.Guard.report ~point out (if b = max_int then None else Some b))
-    guard
+  report_bad guard out bad
 
 (* [out] is written while [h] is still being gathered, and a retry
    rereads [h] after a failed attempt wrote [out]: it must not be [h]. *)
@@ -754,7 +811,7 @@ let fusedmm ?pool ?(semiring = Semiring.plain) ?out ?guard inst
             done)
   else begin
     Array.fill zd 0 (Array.length zd) 0.0;
-    report_clean guard zd
+    check_after guard zd
   end;
   z
 
@@ -767,7 +824,7 @@ let sddmm ?pool ?(semiring = Semiring.plain) ?guard (g : Matrix.Csr.t)
     graph_rows ?guard pool g ~out:values
       ~row_start:(fun r -> g.row_off.(r))
       (fun _ row lo hi -> edge_weights semiring g h ~row ~lo ~hi values ~base:0)
-  else report_clean guard values;
+  else check_after guard values;
   Matrix.Csr.create ~rows:g.rows ~cols:g.cols ~values ~col_idx:g.col_idx
     ~row_off:g.row_off
 

@@ -16,8 +16,11 @@
       pool's grow-only {!Par.Pool.scratch} buffers, zero-filled per op,
       so repeated ops of one shape allocate nothing;
     - {b global atomics -> tree merge}: per-domain buffers are combined
-      by a log-depth tree reduce on the pool, the stand-in for the
-      inter-block atomic sweep.
+      in a log-depth tree order, the stand-in for the inter-block
+      atomic sweep.  The merge runs in one pass over column ranges on
+      the pool that also writes the epilogue [alpha * w + beta * z]
+      and, when asked, checks the result for non-finite values while
+      it is still in L1.
 
     Work is split across domains by nnz-balanced row partitioning
     ([Par.Partition.by_prefix] over [row_off]), mirroring the tuner's
@@ -74,6 +77,7 @@ val pattern_sparse :
   ?tile_rows:int ->
   ?tile_cols:int ->
   ?out:Matrix.Vec.t ->
+  ?guard:string ->
   alpha:float ->
   Matrix.Csr.t ->
   ?v:Matrix.Vec.t ->
@@ -96,7 +100,16 @@ val pattern_sparse :
     into it (every element overwritten) and [out] itself is returned;
     otherwise a fresh vector is.  Raises [Invalid_argument] if [out]
     does not have [cols] elements or is physically one of [y], [v],
-    [z]. *)
+    [z].
+
+    With [guard] (a guard point) the result is checked for non-finite
+    values, and the kernel raises exactly the
+    [Kf_resil.Guard.Unhealthy] that [Kf_resil.Guard.check_vec
+    ~point:guard] raises on it (same point, first index and value),
+    counting the check the same way.  [Dense_acc] checks each column
+    range in its finish pass, right after writing it; the other
+    variants and the degenerate shapes scan once at the end.  Only
+    pass it when guards are enabled. *)
 
 val check_out :
   name:string ->
@@ -116,6 +129,7 @@ val pattern_dense :
   ?tile_rows:int ->
   ?tile_cols:int ->
   ?out:Matrix.Vec.t ->
+  ?guard:string ->
   alpha:float ->
   Matrix.Dense.t ->
   ?v:Matrix.Vec.t ->
@@ -126,20 +140,22 @@ val pattern_dense :
   Matrix.Vec.t
 (** Dense-row analogue of {!pattern_sparse} (Algorithm 3's structure:
     one streaming pass over [X], partials kept local), with the same
-    [out] contract. *)
+    [out] and [guard] contracts. *)
 
 val xt_p :
   ?pool:Par.Pool.t ->
   ?variant:variant ->
   ?tile_rows:int ->
   ?tile_cols:int ->
+  ?guard:string ->
   alpha:float ->
   Matrix.Csr.t ->
   Matrix.Vec.t ->
   Matrix.Vec.t
 (** [xt_p ~alpha x p = alpha * X^T p] — Algorithm 1's host analogue,
     where the per-row scalar arrives precomputed and only the scatter
-    (with its hierarchical aggregation) remains. *)
+    (with its hierarchical aggregation) remains.  [guard] as in
+    {!pattern_sparse}. *)
 
 (** {1 FusedMM graph kernels}
 

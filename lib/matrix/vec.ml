@@ -33,6 +33,31 @@ let dot x y =
   done;
   !acc
 
+(* The two updates and the dot in one loop; each element's updates
+   come before its term of the dot, so the bits are those of
+   [axpy a x y; axpy a u v; dot v v]. *)
+let axpy2_dot a x y u v =
+  check_same_length "axpy2_dot" x y;
+  check_same_length "axpy2_dot" u v;
+  check_same_length "axpy2_dot" x u;
+  let acc = ref 0.0 in
+  for i = 0 to Array.length x - 1 do
+    Array.unsafe_set y i ((a *. Array.unsafe_get x i) +. Array.unsafe_get y i);
+    let vi = (a *. Array.unsafe_get u i) +. Array.unsafe_get v i in
+    Array.unsafe_set v i vi;
+    acc := !acc +. (vi *. vi)
+  done;
+  !acc
+
+let axpby ~lo ~hi a x b y =
+  check_same_length "axpby" x y;
+  if lo < 0 || hi > Array.length y then
+    invalid_arg "Vec.axpby: range outside the vectors";
+  for i = lo to hi - 1 do
+    Array.unsafe_set y i
+      ((a *. Array.unsafe_get x i) +. (b *. Array.unsafe_get y i))
+  done
+
 let nrm2 x = sqrt (dot x x)
 
 let sum x =

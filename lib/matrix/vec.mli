@@ -25,6 +25,18 @@ val axpy : float -> t -> t -> unit
 
 val dot : t -> t -> float
 
+val axpy2_dot : float -> t -> t -> t -> t -> float
+(** [axpy2_dot a x y u v] computes [y <- a * x + y] and [v <- a * u + v]
+    in place and returns [v . v], in one pass.  The result and both
+    vectors have the bits of [axpy a x y; axpy a u v; dot v v]: the
+    dot runs left to right as {!dot} does. *)
+
+val axpby : lo:int -> hi:int -> float -> t -> float -> t -> unit
+(** [axpby ~lo ~hi a x b y] computes [y <- a * x + b * y] in place over
+    the elements [\[lo, hi)], with the bits of [scal b y; axpy a x y]
+    there.  Raises [Invalid_argument] if the lengths differ or the
+    range is outside the vectors. *)
+
 val nrm2 : t -> float
 (** Euclidean norm. *)
 

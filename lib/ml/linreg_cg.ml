@@ -64,14 +64,12 @@ let fit ?engine ?pool ?cluster ?(max_iterations = 100) ?(tolerance = 1e-6)
            unregularised solve (eps = 0) degrades to plain X^T(Xy). *)
         Session.pattern_into session input ~out:q ~y:p ?beta_z ~alpha:1.0 ();
         let alpha = !nr2 /. Session.dot session p q in
-        Session.axpy_inplace session alpha p w;
         let old_nr2 = !nr2 in
-        Session.axpy_inplace session alpha q r;
-        nr2 := Session.dot session r r;
+        (* w += alpha * p;  r += alpha * q;  nr2 = r . r *)
+        nr2 := Session.axpy2_dot session alpha p w q r;
         let beta = !nr2 /. old_nr2 in
         (* p = -r + beta * p *)
-        Session.scal_inplace session beta p;
-        Session.axpy_inplace session (-1.0) r p;
+        Session.axpby_inplace session (-1.0) r beta p;
         incr i)
   done;
   {

@@ -176,6 +176,33 @@ let scal_inplace t a x =
     ~sim:(fun d -> ((), Gpulibs.Cublas.scal_inplace d a x))
     ~host:(fun () -> Matrix.Vec.scal a x)
 
+(* The fused forms.  On the simulated engines they are the composed
+   calls, so cuBLAS is charged exactly what the composition costs, in
+   the same order.  On [Host] and [Dist] [axpy2_dot] is one sequential
+   loop (its dot keeps its left-to-right order) and [axpby_inplace],
+   element-wise, runs on the pool over column ranges. *)
+let axpy2_dot t a x y u v =
+  match t.engine with
+  | Fusion.Executor.Fused | Fusion.Executor.Library ->
+      axpy_inplace t a x y;
+      axpy_inplace t a u v;
+      dot t v v
+  | Fusion.Executor.Host | Fusion.Executor.Dist ->
+      Matrix.Vec.axpy2_dot a x y u v
+
+let axpby_inplace t a x b y =
+  match t.engine with
+  | Fusion.Executor.Fused | Fusion.Executor.Library ->
+      scal_inplace t b y;
+      axpy_inplace t a x y
+  | Fusion.Executor.Host | Fusion.Executor.Dist ->
+      let n = Array.length y in
+      if Array.length x <> n then
+        invalid_arg "Session.axpby_inplace: length mismatch";
+      let pool = match t.pool with Some p -> p | None -> Par.Pool.default () in
+      Par.Pool.parallel_for pool ~lo:0 ~hi:n (fun lo hi ->
+          Matrix.Vec.axpby ~lo ~hi a x b y)
+
 let axpy t a x y =
   let out = Array.copy y in
   axpy_inplace t a x out;

@@ -183,6 +183,24 @@ val scal_inplace : t -> float -> Matrix.Vec.t -> unit
 
 val mul_elementwise : t -> Matrix.Vec.t -> Matrix.Vec.t -> Matrix.Vec.t
 
+val axpy2_dot :
+  t -> float -> Matrix.Vec.t -> Matrix.Vec.t -> Matrix.Vec.t -> Matrix.Vec.t ->
+  float
+(** [axpy2_dot t a x y u v] is [y <- a*x + y; v <- a*u + v], returning
+    [v . v] — a CG step's two updates and its residual norm.  On the
+    simulated engines it is exactly those three ops (two axpy launches
+    and a dot, charged in that order); on [Host] and [Dist] it is one
+    pass ({!Matrix.Vec.axpy2_dot}).  Same bits everywhere as the
+    composed calls. *)
+
+val axpby_inplace :
+  t -> float -> Matrix.Vec.t -> float -> Matrix.Vec.t -> unit
+(** [axpby_inplace t a x b y] is [y <- a*x + b*y] — a CG direction
+    update.  On the simulated engines it is {!scal_inplace} [b y] then
+    {!axpy_inplace} [a x y]; on [Host] and [Dist] one element-wise pass
+    over column ranges on the session's pool ([Par.Pool.default] when
+    it has none), with the same bits. *)
+
 (** {1 Accounting} *)
 
 val gpu_ms : t -> float

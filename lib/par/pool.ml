@@ -238,40 +238,3 @@ let parallel_for t ?chunk ~lo ~hi body =
           else body start (Stdlib.min hi (start + chunk))
         done)
   end
-
-let reduce t ~merge parts =
-  let n = Array.length parts in
-  if n = 0 then invalid_arg "Pool.reduce: empty array";
-  (* stride doubles each round: pairs (i, i+stride) merge in parallel,
-     mirroring the log-depth inter-block sweep. *)
-  let stride = ref 1 in
-  while !stride < n do
-    let s = !stride in
-    let pairs = ref [] in
-    let i = ref 0 in
-    while !i + s < n do
-      pairs := (!i, !i + s) :: !pairs;
-      i := !i + (2 * s)
-    done;
-    (match !pairs with
-    | [] -> ()
-    | ps ->
-        (* Counted on the coordinator: Host_stats merge tallies are
-           single-writer by contract. *)
-        if Kf_obs.Host_stats.profiling () then begin
-          Kf_obs.Host_stats.record_merge_pass ();
-          List.iter (fun _ -> Kf_obs.Host_stats.record_merge_op ()) ps
-        end;
-        (match ps with
-        | [ (d, sr) ] -> merge ~dst:parts.(d) ~src:parts.(sr)
-        | ps ->
-            let pairs = Array.of_list ps in
-            parallel_for t ~chunk:1 ~lo:0 ~hi:(Array.length pairs)
-              (fun a b ->
-                for k = a to b - 1 do
-                  let d, sr = pairs.(k) in
-                  merge ~dst:parts.(d) ~src:parts.(sr)
-                done)));
-    stride := 2 * s
-  done;
-  parts.(0)

@@ -78,11 +78,3 @@ val scratch : t -> slot -> wid:int -> int -> float array
     are whatever the previous user left: callers zero-fill the prefix
     they use and must not rely on [Array.length].  Call from the
     coordinating domain only, never from inside a job. *)
-
-val reduce : t -> merge:(dst:'a -> src:'a -> unit) -> 'a array -> 'a
-(** [reduce t ~merge parts] combines per-worker partial results with a
-    binary tree: at every round, surviving even-indexed parts absorb
-    their odd neighbour via [merge ~dst ~src] (in parallel across pairs),
-    halving the count until only [parts.(0)] remains, which is returned.
-    This is the host's stand-in for the paper's inter-block aggregation
-    sweep.  Raises [Invalid_argument] on an empty array. *)

@@ -25,7 +25,11 @@
    bookkeeping only; it is never held across a [Service] call that
    blocks ([submit] runs after the residency touch, outside the lock),
    and [on_evict] — which runs under the lock — only flips the
-   service's atomic weight cell. *)
+   service's atomic weight cell.  Every publication of weights — a
+   re-materialisation after eviction, a hot-swap — admits the model
+   and publishes under the lock ([admitted_publish]), so no eviction
+   lands between the two: the loaded models are always the ones the
+   memmgr holds, and never more than the budget. *)
 
 type spec = {
   name : string;
@@ -66,6 +70,18 @@ let find_entry t name =
            (String.concat ", " (List.map fst t.entries)))
 
 let names t = List.map fst t.entries
+
+(* Charge [name]'s block to the budget (evicting LRU victims, whose
+   weights [on_evict] unloads), then run [publish] — both under [mu].
+   The block is admitted first: a publication that raises leaves a
+   charged model unloaded, which its next batch re-materialises, never
+   a loaded one the budget does not count. *)
+let admitted_publish mm mu ~name ~bytes publish =
+  Mutex.protect mu (fun () ->
+      ignore
+        (Sysml.Memmgr.ensure_resident mm ~key:name ~bytes
+           ~needs_conversion:false);
+      publish ())
 
 let service t name = (find_entry t name).e_service
 
@@ -114,6 +130,7 @@ let create ?engine ?pool ?config ?max_resident_bytes device specs =
     Sysml.Memmgr.create ~on_evict
       { device with Gpu_sim.Device.global_mem_bytes = budget_bytes }
   in
+  let mu = Mutex.create () in
   let entries =
     List.map
       (fun s ->
@@ -151,8 +168,14 @@ let create ?engine ?pool ?config ?max_resident_bytes device specs =
           }
         in
         (* the provider runs in the scheduler domain when a batch finds
-           the weights evicted: re-read the file, verify, count *)
-        Service.set_provider svc (fun () ->
+           the weights evicted: re-read the file, verify, count — then
+           re-admit and publish under the registry lock *)
+        let admit publish =
+          admitted_publish mm mu ~name:s.name ~bytes:e.e_bytes (fun () ->
+              publish ();
+              Kf_obs.Metrics.set e.m_resident (float_of_int e.e_bytes))
+        in
+        Service.set_provider ~admit svc (fun () ->
             let ck, sum = Kf_resil.Ckpt.read_with_checksum ~path:e.e_path in
             let _, weights = Kf_ml.Registry.of_ckpt ck in
             Atomic.incr e.e_remats;
@@ -167,7 +190,7 @@ let create ?engine ?pool ?config ?max_resident_bytes device specs =
       mm;
       budget_bytes;
       entries;
-      mu = Mutex.create ();
+      mu;
       watcher = None;
       watching = false;
     }
@@ -207,6 +230,10 @@ let resident t name =
   let e = find_entry t name in
   Service.loaded e.e_service
 
+let admitted t name =
+  ignore (find_entry t name);
+  Mutex.protect t.mu (fun () -> Sysml.Memmgr.is_resident t.mm ~key:name)
+
 let resident_bytes t =
   Mutex.lock t.mu;
   let b = Sysml.Memmgr.resident_bytes t.mm in
@@ -237,12 +264,13 @@ let poll t =
                like any other — the old generation keeps serving *)
             match
               let _, weights = Kf_ml.Registry.of_ckpt ck in
-              let _gen = Service.swap e.e_service ~checksum:sum weights in
-              weights
+              let bytes = Kf_ml.Algorithm.weights_bytes weights in
+              admitted_publish t.mm t.mu ~name ~bytes (fun () ->
+                  ignore (Service.swap e.e_service ~checksum:sum weights);
+                  e.e_bytes <- bytes;
+                  Kf_obs.Metrics.set e.m_resident (float_of_int bytes))
             with
-            | weights ->
-                e.e_bytes <- Kf_ml.Algorithm.weights_bytes weights;
-                outcome
+            | () -> outcome
             | exception (Invalid_argument reason | Failure reason) ->
                 reject reason
             | exception Kf_resil.Ckpt.Corrupt reason -> reject reason)

@@ -62,6 +62,11 @@ val submit : t -> string -> Service.row -> Service.ticket option
 val resident : t -> string -> bool
 (** Whether the model's weights are currently loaded. *)
 
+val admitted : t -> string -> bool
+(** Whether the budget currently charges the model's block.  Once
+    traffic settles the admitted models are exactly the {!resident}
+    ones. *)
+
 val resident_bytes : t -> int
 (** Total bytes charged to the budget right now. *)
 

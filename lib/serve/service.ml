@@ -165,7 +165,11 @@ type t = {
   ctrl : Controller.params option;  (** [Some] iff [cfg.adaptive] *)
   live : live option Atomic.t;  (** [None] = weights evicted *)
   gen_counter : int Atomic.t;  (** next generation number *)
-  mutable provider : (unit -> Kf_ml.Algorithm.weights * string) option;
+  mutable provider :
+    ((unit -> Kf_ml.Algorithm.weights * string) * ((unit -> unit) -> unit))
+    option;
+      (** the re-materialisation source and the [admit] wrapper its
+          publication runs in (see [set_provider]), set in one write *)
   mu : Mutex.t;  (** guards [queue], [stopped], [accepted], [shed], controller *)
   nonempty : Condition.t;  (** wakes the scheduler *)
   timer_cv : Condition.t;  (** parks the window timer while it has no job *)
@@ -326,12 +330,15 @@ let live_generation t =
 let live_checksum t =
   match Atomic.get t.live with Some l -> Some l.l_checksum | None -> None
 
-let set_provider t f = t.provider <- Some f
+let set_provider ?(admit = fun publish -> publish ()) t f =
+  t.provider <- Some (f, admit)
 
 (* The scheduler's read of the weight cell.  An evicted model
    re-materialises through the provider (installed by the registry
-   layer) and re-publishes before the batch runs; the bounded retry
-   covers an unload racing the re-publication.  Raising here is
+   layer) and re-publishes before the batch runs — inside the
+   provider's [admit], so the registry charges the weights to its
+   budget in the same critical section that publishes them; the
+   bounded retry covers an unload racing the re-publication.  Raising here is
    deliberate: it funnels into [execute]'s retry-then-Failed path, so a
    model with no weights and no provider answers requests [Failed]
    rather than wedging the scheduler. *)
@@ -346,9 +353,9 @@ let rec acquire t attempts =
           failwith
             (Printf.sprintf "service %s: weights evicted and no provider"
                t.model)
-      | Some f ->
+      | Some (f, admit) ->
           let weights, checksum = f () in
-          ignore (swap t ~checksum weights);
+          admit (fun () -> ignore (swap t ~checksum weights));
           acquire t (attempts - 1))
 
 (* --- batch assembly ------------------------------------------------------ *)

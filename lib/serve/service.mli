@@ -140,11 +140,19 @@ val live_checksum : t -> string option
 (** Checksum of the weights currently serving (the swap-equality
     witness hot-swap tests compare against the checkpoint's). *)
 
-val set_provider : t -> (unit -> Kf_ml.Algorithm.weights * string) -> unit
+val set_provider :
+  ?admit:((unit -> unit) -> unit) ->
+  t ->
+  (unit -> Kf_ml.Algorithm.weights * string) ->
+  unit
 (** Install the re-materialisation source consulted when a batch finds
     the weights unloaded: returns [(weights, checksum)] (the registry
-    layer re-reads the model's checkpoint).  A provider that raises
-    fails the batch, not the scheduler. *)
+    layer re-reads the model's checkpoint).  The weights are then
+    published by the function [admit] is given: a registry passes one
+    that charges the model to its memory budget and publishes under
+    the same lock, so no eviction lands in between (default: publish
+    directly).  A provider that raises fails the batch, not the
+    scheduler. *)
 
 type stats = {
   accepted : int;

@@ -140,6 +140,8 @@ let release t ~key =
       t.used_bytes <- t.used_bytes - block.bytes
   | None -> ()
 
+let is_resident t ~key = Hashtbl.mem t.blocks key
+
 let resident_bytes t = t.used_bytes
 
 let stats t =

@@ -41,6 +41,9 @@ val touch_dirty : t -> key:string -> unit
 val release : t -> key:string -> unit
 (** Drop a block without transfer (its content is disposable). *)
 
+val is_resident : t -> key:string -> bool
+(** Whether block [key] is resident (no LRU touch). *)
+
 val resident_bytes : t -> int
 
 val stats : t -> stats

@@ -286,6 +286,61 @@ let test_eviction_chaos () =
   List.iter (fun { Models.path; _ } -> Sys.remove path) specs;
   Unix.rmdir dir
 
+(* The eviction churn, repeated: every round submits to all three
+   models back to back without waiting, so batches are queued for
+   models that the next submissions evict.  Each such batch
+   re-materialises its model, and that must re-admit it to the budget:
+   once a round settles, at most two models are loaded and they are
+   exactly the ones the memory manager charges. *)
+let test_eviction_stress () =
+  let cols = 16 in
+  let dir = temp_dir () in
+  let mk name seed =
+    let path = Filename.concat dir (name ^ ".ckpt") in
+    write_ckpt path (lr_weights ~cols seed);
+    { Models.name; path; slo = None }
+  in
+  let specs = [ mk "alpha" 21; mk "beta" 22; mk "gamma" 23 ] in
+  let registry =
+    Models.create ~config:adaptive_config ~max_resident_bytes:(2 * 8 * cols)
+      device specs
+  in
+  let names = Models.names registry in
+  for round = 1 to 40 do
+    let tickets =
+      List.concat_map
+        (fun k ->
+          List.filter_map
+            (fun name ->
+              Models.submit registry name
+                (Service.Dense_row (dense_row ~cols ((round * 10) + k))))
+            names)
+        [ 0; 1; 2 ]
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "round %d: nothing shed" round)
+      9 (List.length tickets);
+    List.iter
+      (fun t ->
+        match Service.await t with
+        | Service.Failed msg -> Alcotest.failf "round %d: %s" round msg
+        | Service.Score _ -> ())
+      tickets;
+    let loaded = List.filter (Models.resident registry) names in
+    let admitted = List.filter (Models.admitted registry) names in
+    Alcotest.(check bool)
+      (Printf.sprintf "round %d: at most two models loaded" round)
+      true
+      (List.length loaded <= 2);
+    Alcotest.(check (list string))
+      (Printf.sprintf "round %d: loaded = admitted" round)
+      admitted loaded
+  done;
+  Models.shutdown registry;
+  List.iter (fun { Models.path; _ } -> Sys.remove path) specs;
+  Unix.rmdir dir
+
+
 let suite =
   [
     Alcotest.test_case "swap storm: atomic generations under load" `Quick
@@ -294,4 +349,6 @@ let suite =
       test_watcher_chaos;
     Alcotest.test_case "eviction churn: LRU within budget, no losses" `Quick
       test_eviction_chaos;
+    Alcotest.test_case "eviction churn repeated: loaded = admitted" `Quick
+      test_eviction_stress;
   ]

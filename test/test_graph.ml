@@ -453,8 +453,11 @@ let test_graph_kernel_guard () =
            device Fusedmm.Sddmm_spmm g h)
           .Executor.m_checked
       in
+      (* "no fault rule" explicitly: the CI chaos matrix sets KF_FAULTS
+         for the whole suite *)
       Alcotest.(check bool)
-        "guards on: checked in the kernel" true (checked ());
+        "guards on: checked in the kernel" true
+        (Kf_resil.Fault.with_config "" checked);
       Alcotest.(check bool)
         "fault rule active: scanned after poisoning" false
         (Kf_resil.Fault.with_config "nan:after=1000" checked);

@@ -516,6 +516,275 @@ let test_pattern_out () =
       | exception Invalid_argument _ -> ())
     [ ("sparse", Fusion.Executor.Sparse sparse); ("dense", Dense dense) ]
 
+(* ---- Equation 1's finish pass: bits and guard ----------------------------- *)
+
+let pool3 = lazy (Par.Pool.create ~size:3 ())
+
+(* Inputs wide enough (700 and 300 columns) that the finish pass runs on
+   the pool rather than inline on the coordinator. *)
+let finish_inputs () =
+  let rng = Rng.create 77 in
+  let xs = Gen.sparse_uniform rng ~rows:400 ~cols:700 ~density:0.03 in
+  let xd = Gen.dense rng ~rows:90 ~cols:300 in
+  let ys = Gen.vector rng 700 and vs = Gen.vector rng 400 in
+  let zs = Gen.vector rng 700 in
+  let yd = Gen.vector rng 300 and vd = Gen.vector rng 90 in
+  let zd = Gen.vector rng 300 in
+  (xs, ys, vs, zs, xd, yd, vd, zd)
+
+(* [Dense_acc] merges the per-domain accumulators in one tree order,
+   whatever pass does it: the checksums were recorded when the merge
+   was a tree reduce of whole accumulators on the coordinator.  Three
+   domains take the odd tree, [(a0 + a1) + a2]. *)
+let test_dense_acc_bits_pinned () =
+  let xs, ys, vs, zs, xd, yd, vd, zd = finish_inputs () in
+  let variant = Fusion.Host_fused.Dense_acc in
+  List.iter
+    (fun (pool, sparse_sum, dense_sum) ->
+      let d = Par.Pool.size pool in
+      let s =
+        Fusion.Host_fused.pattern_sparse ~pool ~variant ~alpha:0.75 xs ~v:vs
+          ys ~beta:(-0.5) ~z:zs ()
+      in
+      let w =
+        Fusion.Host_fused.pattern_dense ~pool ~variant ~alpha:0.75 xd ~v:vd yd
+          ~beta:(-0.5) ~z:zd ()
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "sparse, %d domains" d)
+        sparse_sum
+        (Kf_resil.Ckpt.checksum_floats s);
+      Alcotest.(check string)
+        (Printf.sprintf "dense, %d domains" d)
+        dense_sum
+        (Kf_resil.Ckpt.checksum_floats w))
+    [
+      (Lazy.force pool1, "7f8648568d242a38", "0391fe839e89502c");
+      (Lazy.force pool2, "5390f5e7d32e4955", "1eb3d5b03aefbf81");
+      (Lazy.force pool3, "5377e939dc368993", "a592add39a21cfc2");
+      (Lazy.force pool4, "3f0f1f513fb1e24c", "299153ad0e34c6fe");
+    ]
+
+let unhealthy f =
+  match f () with
+  | _ -> Alcotest.fail "expected Guard.Unhealthy"
+  | exception Kf_resil.Guard.Unhealthy { point; index; value } ->
+      (point, index, value)
+
+let same_unhealthy msg (p, i, v) (p', i', v') =
+  Alcotest.(check string) (msg ^ ": point") p p';
+  Alcotest.(check int) (msg ^ ": index") i i';
+  Alcotest.(check int64)
+    (msg ^ ": value bits") (Int64.bits_of_float v) (Int64.bits_of_float v')
+
+(* The Equation-1 host kernels check their own output: the exception is
+   the one a scan of the unguarded result raises — on both variants,
+   every pool size, sparse and dense — and a clean result keeps its
+   bits.  [z] poisoned at two late columns puts the first bad index
+   away from column 0, so the column ranges must agree on the least. *)
+let test_eq1_kernel_guard () =
+  let xs, ys, vs, zs, xd, yd, vd, zd = finish_inputs () in
+  let poison v idx =
+    let v = Array.copy v in
+    List.iter (fun (i, x) -> v.(i) <- x) idx;
+    v
+  in
+  let point = "test.eq1" in
+  let scan v = unhealthy (fun () -> Kf_resil.Guard.check_vec ~point v) in
+  Kf_resil.Guard.with_enabled true (fun () ->
+      List.iter
+        (fun pool ->
+          List.iter
+            (fun variant ->
+              let msg s =
+                Printf.sprintf "%s, %s, %d domains" s
+                  (Fusion.Host_fused.variant_name variant)
+                  (Par.Pool.size pool)
+              in
+              let sparse ?guard y z =
+                Fusion.Host_fused.pattern_sparse ~pool ~variant ?guard
+                  ~alpha:0.75 xs ~v:vs y ~beta:(-0.5) ~z ()
+              in
+              let dense ?guard y z =
+                Fusion.Host_fused.pattern_dense ~pool ~variant ?guard
+                  ~alpha:0.75 xd ~v:vd y ~beta:(-0.5) ~z ()
+              in
+              let xt_p ?guard p =
+                Fusion.Host_fused.xt_p ~pool ~variant ?guard ~alpha:0.75 xs p
+              in
+              List.iter
+                (fun (what, y, z) ->
+                  same_unhealthy
+                    (msg ("sparse " ^ what))
+                    (scan (sparse y z))
+                    (unhealthy (fun () -> sparse ~guard:point y z)))
+                [
+                  ("y", poison ys [ (333, Float.nan) ], zs);
+                  ( "z",
+                    ys,
+                    poison zs [ (650, Float.infinity); (420, Float.nan) ] );
+                ];
+              List.iter
+                (fun (what, y, z) ->
+                  same_unhealthy
+                    (msg ("dense " ^ what))
+                    (scan (dense y z))
+                    (unhealthy (fun () -> dense ~guard:point y z)))
+                [
+                  ("y", poison yd [ (7, Float.nan) ], zd);
+                  ("z", yd, poison zd [ (290, Float.nan); (261, Float.nan) ]);
+                ];
+              let bad_p = poison vs [ (399, Float.nan) ] in
+              same_unhealthy (msg "xt_p") (scan (xt_p bad_p))
+                (unhealthy (fun () -> xt_p ~guard:point bad_p));
+              Alcotest.(check bool) (msg "clean sparse bits") true
+                (same_bits (sparse ~guard:point ys zs) (sparse ys zs));
+              Alcotest.(check bool) (msg "clean dense bits") true
+                (same_bits (dense ~guard:point yd zd) (dense yd zd)))
+            [ Fusion.Host_fused.Dense_acc; Fusion.Host_fused.Blocked ])
+        (List.map Lazy.force [ pool1; pool2; pool4 ]))
+
+(* Through the executor: a NaN in [y] poisons every engine alike, so the
+   recovery chain ends at the reference floor and raises what
+   [Guard.check_vec] raises on the reference output, for [pattern] and
+   [xt_y], sparse and dense, on both variants and every pool size.
+   [checked] is true only with guards on and no fault rule active, and
+   one poisoned output is healed by the host retry with the clean
+   bits. *)
+let test_eq1_executor_guard () =
+  let xs, ys, vs, zs, xd, yd, vd, zd = finish_inputs () in
+  let bad v i =
+    let v = Array.copy v in
+    v.(i) <- Float.nan;
+    v
+  in
+  let engine = Fusion.Executor.Host in
+  let with_variant variant f =
+    let saved = Sys.getenv_opt "KF_HOST_VARIANT" in
+    Unix.putenv "KF_HOST_VARIANT" (Fusion.Host_fused.variant_name variant);
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.putenv "KF_HOST_VARIANT" (Option.value saved ~default:""))
+      f
+  in
+  let expect msg op reference run =
+    let want =
+      unhealthy (fun () ->
+          Kf_resil.Guard.check_vec
+            ~point:("executor." ^ op ^ ".reference")
+            reference)
+    in
+    same_unhealthy msg want (unhealthy run)
+  in
+  Kf_resil.Guard.with_enabled true (fun () ->
+      List.iter
+        (fun pool ->
+          List.iter
+            (fun variant ->
+              with_variant variant @@ fun () ->
+              let msg s =
+                Printf.sprintf "%s, %s, %d domains" s
+                  (Fusion.Host_fused.variant_name variant)
+                  (Par.Pool.size pool)
+              in
+              Alcotest.(check bool) (msg "variant forced") true
+                (Astring.String.is_infix
+                   ~affix:(Fusion.Host_fused.variant_name variant)
+                   (Fusion.Executor.pattern ~engine ~pool device (Sparse xs)
+                      ~y:ys ~alpha:1.0 ())
+                    .Fusion.Executor.engine_used);
+              let ys' = bad ys 333 and yd' = bad yd 7 in
+              expect (msg "pattern sparse") "pattern"
+                (Blas.pattern_sparse ~alpha:0.75 xs ~v:vs ys' ~beta:(-0.5)
+                   ~z:zs ())
+                (fun () ->
+                  Fusion.Executor.pattern ~engine ~pool device (Sparse xs)
+                    ~y:ys' ~v:vs ~beta_z:(-0.5, zs) ~alpha:0.75 ());
+              expect (msg "pattern dense") "pattern"
+                (Blas.pattern_dense ~alpha:0.75 xd ~v:vd yd' ~beta:(-0.5)
+                   ~z:zd ())
+                (fun () ->
+                  Fusion.Executor.pattern ~engine ~pool device (Dense xd)
+                    ~y:yd' ~v:vd ~beta_z:(-0.5, zd) ~alpha:0.75 ());
+              let vs' = bad vs 399 and vd' = bad vd 89 in
+              let reference_xt x p =
+                let w = Blas.gemv_t x p in
+                Vec.scal 0.75 w;
+                w
+              in
+              let xt_sparse = Blas.csrmv_t xs vs' in
+              Vec.scal 0.75 xt_sparse;
+              expect (msg "xt_y sparse") "xt_y" xt_sparse (fun () ->
+                  Fusion.Executor.xt_y ~engine ~pool device (Sparse xs) vs'
+                    ~alpha:0.75);
+              expect (msg "xt_y dense") "xt_y" (reference_xt xd vd')
+                (fun () ->
+                  Fusion.Executor.xt_y ~engine ~pool device (Dense xd) vd'
+                    ~alpha:0.75))
+            [ Fusion.Host_fused.Dense_acc; Fusion.Host_fused.Blocked ])
+        (List.map Lazy.force [ pool1; pool2; pool4 ]);
+      let pool = Lazy.force pool2 in
+      let run () =
+        Fusion.Executor.pattern ~engine ~pool device (Sparse xs) ~y:ys ~v:vs
+          ~beta_z:(-0.5, zs) ~alpha:0.75 ()
+      in
+      let xt () =
+        Fusion.Executor.xt_y ~engine ~pool device (Sparse xs) vs ~alpha:0.75
+      in
+      let checked f = (f ()).Fusion.Executor.checked in
+      (* "no fault rule" explicitly: the CI chaos matrix sets KF_FAULTS
+         for the whole suite *)
+      let no_faults f = Kf_resil.Fault.with_config "" f in
+      Alcotest.(check bool) "guards on: pattern checked in the kernel" true
+        (no_faults (fun () -> checked run));
+      Alcotest.(check bool) "guards on: xt_y checked in the kernel" true
+        (no_faults (fun () -> checked xt));
+      Alcotest.(check bool) "fault rule active: scanned after poisoning" false
+        (Kf_resil.Fault.with_config "nan:after=1000" (fun () -> checked run));
+      Alcotest.(check bool) "guards off: not checked" false
+        (Kf_resil.Guard.with_enabled false (fun () -> checked run));
+      let clean = no_faults run in
+      let healed =
+        Kf_resil.Fault.with_config "nan:after=0:times=1" (fun () -> run ())
+      in
+      Alcotest.(check string) "healed on the host engine"
+        clean.Fusion.Executor.engine_used healed.Fusion.Executor.engine_used;
+      Alcotest.(check bool) "healed result has the clean bits" true
+        (same_bits clean.Fusion.Executor.w healed.Fusion.Executor.w))
+
+(* A steady-state LR-CG iteration on the host engine allocates no
+   vector: the fused level-1 passes and the finish pass write in place,
+   so the major heap grows by less than one [cols]-vector per
+   iteration. *)
+let test_lr_iteration_allocates_no_vector () =
+  let rng = Rng.create 29 in
+  let rows = 3000 and cols = 2000 in
+  let x = Gen.sparse_uniform rng ~rows ~cols ~density:0.004 in
+  let targets = Gen.vector rng rows in
+  List.iter
+    (fun pool ->
+      let now () =
+        Gc.minor ();
+        (Gc.quick_stat ()).Gc.major_words
+      in
+      let major_words iterations =
+        let before = now () in
+        let r =
+          Kf_ml.Linreg_cg.fit ~engine:Fusion.Executor.Host ~pool
+            ~max_iterations:iterations ~tolerance:0.0 device (Sparse x)
+            ~targets
+        in
+        Alcotest.(check int) "ran every iteration" iterations
+          r.Kf_ml.Linreg_cg.iterations;
+        now () -. before
+      in
+      ignore (major_words 1);
+      let per_iteration = (major_words 9 -. major_words 1) /. 8.0 in
+      if per_iteration >= float_of_int cols then
+        Alcotest.failf "%d domains: %.0f major words per iteration, one w is %d"
+          (Par.Pool.size pool) per_iteration cols)
+    (List.map Lazy.force [ pool1; pool2 ])
+
 let suite =
   [
     QCheck_alcotest.to_alcotest test_sparse_matches;
@@ -536,4 +805,12 @@ let suite =
       test_workspace_steady_state;
     Alcotest.test_case "pattern ?out is the result, bit for bit" `Quick
       test_pattern_out;
+    Alcotest.test_case "dense-acc bits pinned across pools" `Quick
+      test_dense_acc_bits_pinned;
+    Alcotest.test_case "eq1 host kernels guard their output" `Quick
+      test_eq1_kernel_guard;
+    Alcotest.test_case "eq1 ops guard and recover" `Quick
+      test_eq1_executor_guard;
+    Alcotest.test_case "LR-CG host iteration allocates no vector" `Quick
+      test_lr_iteration_allocates_no_vector;
   ]

@@ -366,7 +366,11 @@ let test_lr_pinned () =
             (Printf.sprintf "host d=%d weights checksum" size)
             sum
             (checksum (fit ~pool Fusion.Executor.Host))))
-    [ (1, "41e5d427ea97e23f"); (2, "17383ce6b462c8b7") ]
+    [
+      (1, "41e5d427ea97e23f");
+      (2, "17383ce6b462c8b7");
+      (4, "b7eb05429240d9f8");
+    ]
 
 (* Host time is measured wall-clock only: level-1 work charges no
    simulated cuBLAS time or launches, so every millisecond is an

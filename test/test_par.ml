@@ -89,22 +89,6 @@ let test_exception_propagates () =
       Par.Pool.run_workers pool (fun _ -> Atomic.incr counter);
       Alcotest.(check int) "pool alive after exception" 2 (Atomic.get counter))
 
-let test_reduce_tree () =
-  with_pool 3 (fun pool ->
-      List.iter
-        (fun parts ->
-          let arrays = Array.init parts (fun i -> [| float_of_int (i + 1) |]) in
-          let total =
-            Par.Pool.reduce pool
-              ~merge:(fun ~dst ~src -> dst.(0) <- dst.(0) +. src.(0))
-              arrays
-          in
-          Alcotest.(check (float 1e-12))
-            (Printf.sprintf "sum of 1..%d" parts)
-            (float_of_int (parts * (parts + 1) / 2))
-            total.(0))
-        [ 1; 2; 3; 4; 5; 8 ])
-
 let test_partition_uniform () =
   let b = Par.Partition.uniform ~n:10 ~parts:3 in
   Alcotest.(check int) "starts at 0" 0 b.(0);
@@ -196,7 +180,6 @@ let suite =
     Alcotest.test_case "map_workers indexes by worker" `Quick test_map_workers;
     Alcotest.test_case "exceptions propagate, pool survives" `Quick
       test_exception_propagates;
-    Alcotest.test_case "tree reduce sums all parts" `Quick test_reduce_tree;
     Alcotest.test_case "uniform partition bounds" `Quick test_partition_uniform;
     Alcotest.test_case "nnz-balanced partition: skewed load" `Quick
       test_partition_by_prefix_balanced;

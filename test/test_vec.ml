@@ -91,6 +91,86 @@ let prop_triangle_inequality =
       let x = Array.sub x 0 n and y = Array.sub y 0 n in
       Vec.nrm2 (Vec.add x y) <= Vec.nrm2 x +. Vec.nrm2 y +. 1e-6)
 
+(* The fused CG passes against the composed calls they replace, bit for
+   bit: [Vec] directly, and [Session] on the host engine (257 elements
+   is past the pool's inline cutoff, so a two-domain pool splits the
+   direction update) and on the simulated engine, where the cuBLAS
+   charges must also be the composition's. *)
+let fused_case =
+  QCheck.make
+    ~print:(fun (n, seed, a, b) ->
+      Printf.sprintf "n=%d seed=%d a=%h b=%h" n seed a b)
+    QCheck.Gen.(
+      let* n = oneofl [ 0; 1; 3; 4; 257 ] in
+      let* seed = int_bound 100_000 in
+      let* a = float_range (-4.0) 4.0 in
+      let* b = float_range (-4.0) 4.0 in
+      return (n, seed, a, b))
+
+let fused_pool = lazy (Par.Pool.create ~size:2 ())
+
+let prop_fused_cg_passes =
+  QCheck.Test.make ~name:"fused CG passes == composed Vec calls" ~count:100
+    fused_case (fun (n, seed, a, b) ->
+      let rng = Rng.create seed in
+      let vec () = Array.init n (fun _ -> Rng.float rng 200.0 -. 100.0) in
+      let x = vec () and y = vec () and u = vec () and v = vec () in
+      let bits a b =
+        Array.length a = Array.length b
+        && Array.for_all2
+             (fun p q -> Int64.bits_of_float p = Int64.bits_of_float q)
+             a b
+      in
+      let same_float p q = Int64.bits_of_float p = Int64.bits_of_float q in
+      (* y <- a x + y; v <- a u + v; v . v *)
+      let y0 = Array.copy y and v0 = Array.copy v in
+      Vec.axpy a x y0;
+      Vec.axpy a u v0;
+      let d0 = Vec.dot v0 v0 in
+      (* v <- a x + b v, as CG's p <- -r + beta p *)
+      let p0 = Array.copy v in
+      Vec.scal b p0;
+      Vec.axpy a x p0;
+      let device = Gpu_sim.Device.gtx_titan in
+      let session engine =
+        Kf_ml.Session.create ~engine ~pool:(Lazy.force fused_pool) device
+          ~algorithm:"LR"
+      in
+      let fused ~axpy2_dot ~axpby =
+        let y1 = Array.copy y and v1 = Array.copy v and p1 = Array.copy v in
+        let d1 = axpy2_dot a x y1 u v1 in
+        axpby a x b p1;
+        bits y1 y0 && bits v1 v0 && same_float d1 d0 && bits p1 p0
+      in
+      let vec_ok =
+        fused ~axpy2_dot:Vec.axpy2_dot ~axpby:(fun a x b y ->
+            Vec.axpby ~lo:0 ~hi:(Array.length y) a x b y)
+      in
+      let host = session Fusion.Executor.Host in
+      let host_ok =
+        fused
+          ~axpy2_dot:(Kf_ml.Session.axpy2_dot host)
+          ~axpby:(Kf_ml.Session.axpby_inplace host)
+      in
+      let sim = session Fusion.Executor.Fused in
+      let sim_ok =
+        fused
+          ~axpy2_dot:(Kf_ml.Session.axpy2_dot sim)
+          ~axpby:(Kf_ml.Session.axpby_inplace sim)
+      in
+      let composed = session Fusion.Executor.Fused in
+      let y2 = Array.copy y and v2 = Array.copy v and p2 = Array.copy v in
+      Kf_ml.Session.axpy_inplace composed a x y2;
+      Kf_ml.Session.axpy_inplace composed a u v2;
+      ignore (Kf_ml.Session.dot composed v2 v2);
+      Kf_ml.Session.scal_inplace composed b p2;
+      Kf_ml.Session.axpy_inplace composed a x p2;
+      vec_ok && host_ok && sim_ok
+      && same_float (Kf_ml.Session.gpu_ms sim) (Kf_ml.Session.gpu_ms composed)
+      && Kf_ml.Session.launches sim = Kf_ml.Session.launches composed
+      && Kf_ml.Session.launches host = 0)
+
+
 let suite =
   [
     Alcotest.test_case "create is zeroed" `Quick test_create_zeroed;
@@ -110,4 +190,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_nrm2_nonneg;
     QCheck_alcotest.to_alcotest prop_axpy_linear;
     QCheck_alcotest.to_alcotest prop_triangle_inequality;
+    QCheck_alcotest.to_alcotest prop_fused_cg_passes;
   ]
