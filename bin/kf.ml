@@ -178,8 +178,6 @@ let with_obs ~trace ~profile f =
         | None -> f ())
   end
 
-let engine_name = Fusion.Executor.engine_to_string
-
 (* one spelling authority for engines: [--engine] and [KF_ENGINE] both
    parse through {!Fusion.Executor.engine_of_string} *)
 let engine_conv =
@@ -523,11 +521,8 @@ let train_cmd =
       | Fusion.Executor.Dense x -> Blas.gemv x truth
     in
     let time_label =
-      match engine with
-      | Fusion.Executor.Host -> "host wall-clock time"
-      | Fusion.Executor.Dist -> "dist wall-clock time"
-      | Fusion.Executor.Fused | Fusion.Executor.Library ->
-          "simulated device time"
+      if Fusion.Executor.simulated engine then "simulated device time"
+      else Fusion.Executor.engine_to_string engine ^ " wall-clock time"
     in
     let cfg =
       { Kf_ml.Algorithm.engine; max_iterations; checkpoint; ckpt_meta; resume }
@@ -548,7 +543,8 @@ let train_cmd =
         (Kf_obs.Json.Obj
            ([
               ("algorithm", Kf_obs.Json.Str A.display_name);
-              ("engine", Kf_obs.Json.Str (engine_name engine));
+              ( "engine",
+                Kf_obs.Json.Str (Fusion.Executor.engine_to_string engine) );
               ("time_ms", Kf_obs.Json.Float r.gpu_ms);
               ("resumed", Kf_obs.Json.Bool (resume <> None));
               ("weights_checksum", Kf_obs.Json.Str checksum);
@@ -839,10 +835,10 @@ let serve_cmd =
         summary.Kf_serve.Driver.throughput_rps;
       Printf.printf
         "latency p50 %.0f us, p95 %.0f us, p99 %.0f us, max %.0f us\n"
-        (Kf_serve.Histogram.quantile summary.Kf_serve.Driver.latency_us 0.5)
-        (Kf_serve.Histogram.quantile summary.Kf_serve.Driver.latency_us 0.95)
-        (Kf_serve.Histogram.quantile summary.Kf_serve.Driver.latency_us 0.99)
-        (Kf_serve.Histogram.max_value summary.Kf_serve.Driver.latency_us)
+        (Kf_obs.Histogram.quantile summary.Kf_serve.Driver.latency_us 0.5)
+        (Kf_obs.Histogram.quantile summary.Kf_serve.Driver.latency_us 0.95)
+        (Kf_obs.Histogram.quantile summary.Kf_serve.Driver.latency_us 0.99)
+        (Kf_obs.Histogram.max_value summary.Kf_serve.Driver.latency_us)
     in
     let print_slo s =
       Printf.printf
@@ -896,7 +892,7 @@ let serve_cmd =
           | other -> other)
       else begin
         Printf.printf "serving %d model(s) (%s engine)%s\n"
-          (List.length specs) (engine_name engine)
+          (List.length specs) (Fusion.Executor.engine_to_string engine)
           (if watch then ", hot-swap watch on" else "");
         print_summary summary;
         List.iter
@@ -945,12 +941,12 @@ let serve_cmd =
       else begin
         Printf.printf "serving %s model from %s (%d features, %s engine)\n"
           A.display_name model weights.Kf_ml.Algorithm.cols
-          (engine_name engine);
+          (Fusion.Executor.engine_to_string engine);
         print_summary summary;
         Printf.printf
           "%d batch(es), mean occupancy %.1f rows, %d shed, %d failed\n"
           st.Kf_serve.Service.batches
-          (Kf_serve.Histogram.mean st.Kf_serve.Service.occupancy)
+          (Kf_obs.Histogram.mean st.Kf_serve.Service.occupancy)
           summary.Kf_serve.Driver.shed summary.Kf_serve.Driver.failed;
         Option.iter print_slo slo
       end

@@ -2,7 +2,9 @@ open Gpu_sim
 
 (** Public entry point: evaluate any instantiation of the paper's pattern
     with either the fused kernels or the library-composed baseline, on
-    sparse or dense data.
+    sparse or dense data.  Each engine is a {!Backend} module; every op
+    runs through one wrapper here that times, profiles, guards and
+    recovers it.
 
     This is the layer an ML algorithm programs against (the paper's
     SystemML integration calls it "backend GPU kernels and APIs"): the
@@ -12,7 +14,7 @@ open Gpu_sim
     two cuBLAS launches for dense matrices too wide for the register
     file. *)
 
-type engine =
+type engine = Backend.engine =
   | Fused  (** the paper's kernels (with documented fallbacks) *)
   | Library  (** cuSPARSE/cuBLAS composition *)
   | Host
@@ -44,10 +46,15 @@ val engine_of_string : string -> engine option
 (** Inverse of {!engine_to_string} (case-insensitive, trimmed); [None]
     for unknown names. *)
 
-type input = Sparse of Matrix.Csr.t | Dense of Matrix.Dense.t
+val simulated : engine -> bool
+(** [true] for the engines that run on the simulated GPU ([Fused],
+    [Library]), whose [time_ms] is simulated device time; [false] for
+    the wall-clock engines ([Host], [Dist]). *)
 
-(** Unified per-operation observability record, populated for {e all
-    three} engines.  When tracing is enabled ([Kf_obs.Trace]) the same
+type input = Backend.input = Sparse of Matrix.Csr.t | Dense of Matrix.Dense.t
+
+(** Unified per-operation observability record, populated for every
+    engine.  When tracing is enabled ([Kf_obs.Trace]) the same
     information is also recorded as an ["executor.<op>"] span, so the
     Chrome trace and the in-process profile agree by construction. *)
 type profile = {
@@ -58,11 +65,12 @@ type profile = {
   p_nnz : int;  (** stored non-zeros; dense inputs report rows*cols *)
   wall_ns : int;
       (** wall-clock spent in the call: simulation time for the
-          simulated engines, real execution time for [Host] *)
+          simulated engines, real execution time for [Host] and [Dist] *)
   host : Kf_obs.Host_stats.t option;
-      (** [Host] engine only: per-domain busy/idle time, rows/nnz
-          processed, accumulator and tree-merge accounting — the CPU
-          analogue of [Gpu.Stats] *)
+      (** wall-clock engines ([Host], [Dist]) only: per-domain busy/idle
+          time, rows/nnz processed, accumulator and tree-merge
+          accounting — the CPU analogue of [Gpu.Stats]; empty for a
+          [Dist] op that ran on its worker processes *)
 }
 
 type result = {
@@ -103,9 +111,10 @@ val xt_y :
   alpha:float ->
   result
 (** [alpha * X^T x y] — the first row of Table 1 ([y] has [rows]
-    elements).  With guards on and no fault rule active, the sparse
-    [Host] kernel checks its own output ([checked]), raising the same
-    [Kf_resil.Guard.Unhealthy] the executor's scan would. *)
+    elements).  With guards on and no fault rule active, the [Host]
+    kernels (sparse and dense) check their own output ([checked]),
+    raising the same [Kf_resil.Guard.Unhealthy] the executor's scan
+    would. *)
 
 val pattern :
   ?engine:engine ->

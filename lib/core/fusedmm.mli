@@ -38,6 +38,9 @@ val instantiations : instantiation list
 
 val inst_key : instantiation -> string
 
+val inst_label : instantiation -> string
+(** ["sddmm+spmm"] or ["spmm"]. *)
+
 val family_id : string
 (** ["fusedmm"]. *)
 

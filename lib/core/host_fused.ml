@@ -1,13 +1,11 @@
-type variant = Dense_acc | Col_partition | Blocked
+type variant = Dense_acc | Blocked
 
 let variant_name = function
   | Dense_acc -> "dense-acc"
-  | Col_partition -> "col-partition"
   | Blocked -> "blocked"
 
 let variant_of_name = function
   | "dense-acc" -> Some Dense_acc
-  | "col-partition" -> Some Col_partition
   | "blocked" -> Some Blocked
   | _ -> None
 
@@ -16,10 +14,7 @@ let default_accumulator_budget_bytes = Par.Tune.accumulator_budget_bytes
 (* KF_HOST_VARIANT forces a variant for experiments; otherwise the
    shape decides: per-domain dense accumulators (one matrix walk, tree
    merge) while they are cache-cheap, the owner-computes blocked kernel
-   once [8 * cols * domains] outgrows the budget/L2 cap.  The legacy
-   Col_partition variant (which re-streams the matrix per domain) is
-   never auto-chosen — it is kept as an explicitly requestable
-   baseline. *)
+   once [8 * cols * domains] outgrows the budget/L2 cap. *)
 let choose_variant ?budget_bytes ~domains ~cols () =
   match Option.bind (Sys.getenv_opt "KF_HOST_VARIANT") variant_of_name with
   | Some v -> v
@@ -29,6 +24,15 @@ let choose_variant ?budget_bytes ~domains ~cols () =
       else Dense_acc
 
 let get_pool = function Some p -> p | None -> Par.Pool.default ()
+
+let resolve_variant pool variant ~cols =
+  let v =
+    match variant with
+    | Some v -> v
+    | None -> choose_variant ~domains:(Par.Pool.size pool) ~cols ()
+  in
+  Kf_obs.Host_stats.set_variant (variant_name v);
+  v
 
 (* One tree-merge step, [dst += src] over the columns [lo, hi) of two
    scratch accumulators, 4-way unrolled.  The buffers may be longer
@@ -179,28 +183,6 @@ let sparse_scatter_rows_acc (x : Matrix.Csr.t) ~p_of ~(w : float array) ~rlo
     end
   done
 
-(* Legacy column-filtered scatter (Col_partition only): every domain
-   re-streams the matrix keeping the columns it owns. *)
-let sparse_scatter_rows (x : Matrix.Csr.t) ~p_of ~w ~rlo ~rhi ~clo ~chi =
-  let full = clo = 0 && chi >= x.cols in
-  for r = rlo to rhi - 1 do
-    let s = x.row_off.(r) and e = x.row_off.(r + 1) in
-    if e > s then begin
-      let pr = p_of r s e in
-      if pr <> 0.0 then
-        if full then
-          for i = s to e - 1 do
-            let c = x.col_idx.(i) in
-            w.(c) <- w.(c) +. (x.values.(i) *. pr)
-          done
-        else
-          for i = s to e - 1 do
-            let c = x.col_idx.(i) in
-            if c >= clo && c < chi then w.(c) <- w.(c) +. (x.values.(i) *. pr)
-          done
-    end
-  done
-
 (* Row dot product with four independent accumulators (differs from the
    sequential reference by reassociation only). *)
 let sparse_row_dot (x : Matrix.Csr.t) y ~v r s e =
@@ -238,18 +220,11 @@ let sparse_row_dot (x : Matrix.Csr.t) y ~v r s e =
   done;
   match v with None -> !acc | Some v -> !acc *. v.(r)
 
-(* Observability: accumulator allocations are recorded from the
-   coordinating domain (single-writer tallies) — by [Par.Pool.scratch]
-   when a workspace buffer grows, here for the legacy variant's fresh
-   arrays; per-worker rows/nnz are credited inside the worker closures,
-   each writing only its own slot.  Every recording entry point is a
-   no-op one-flag check unless the executor installed a Host_stats
-   sink. *)
-let record_accs ~count ~elems =
-  if Kf_obs.Host_stats.profiling () then
-    for _ = 1 to count do
-      Kf_obs.Host_stats.record_alloc ~bytes:(8 * elems)
-    done
+(* Observability: per-worker rows/nnz are credited inside the worker
+   closures, each writing only its own slot, and accumulator
+   allocations by [Par.Pool.scratch] when a workspace buffer grows.
+   Every recording entry point is a no-op one-flag check unless the
+   executor installed a Host_stats sink. *)
 
 (* The per-domain accumulators of [Dense_acc]: each worker's [Acc]
    scratch buffer, zero-filled by its owner inside the job. *)
@@ -337,36 +312,6 @@ let sparse_dense_acc pool (x : Matrix.Csr.t) ~p_of =
         ~rhi:bounds.(wid + 1));
   parts
 
-(* Col_partition (legacy baseline): [p] is materialised by a
-   row-parallel pass, then every domain streams the matrix filtering
-   for its own column range — d-fold matrix traffic; kept only for
-   explicit comparison runs. *)
-let sparse_col_partition pool (x : Matrix.Csr.t) ~p_of =
-  let workers = Par.Pool.size pool in
-  let p = Array.make x.rows 0.0 in
-  record_accs ~count:1 ~elems:x.rows;
-  record_accs ~count:1 ~elems:x.cols;
-  (* rows/nnz are credited in the [p] pass only, so every row counts
-     exactly once even though the scatter pass re-streams the matrix
-     per column range. *)
-  Par.Pool.parallel_for pool ~lo:0 ~hi:x.rows (fun a b ->
-      if Kf_obs.Host_stats.profiling () then
-        Kf_obs.Host_stats.add_work ~rows:(b - a)
-          ~nnz:(x.row_off.(b) - x.row_off.(a));
-      for r = a to b - 1 do
-        let s = x.row_off.(r) and e = x.row_off.(r + 1) in
-        if e > s then p.(r) <- p_of r s e
-      done);
-  let w = Array.make x.cols 0.0 in
-  let cbounds = Par.Partition.uniform ~n:x.cols ~parts:workers in
-  Par.Pool.run_workers pool (fun wid ->
-      let clo = cbounds.(wid) and chi = cbounds.(wid + 1) in
-      if chi > clo then
-        sparse_scatter_rows x
-          ~p_of:(fun r _s _e -> p.(r))
-          ~w ~rlo:0 ~rhi:x.rows ~clo ~chi);
-  w
-
 (* Blocked: the owner-computes two-pass kernel.  Pass 1 materialises
    the per-row scalars in parallel over row blocks; pass 2 scatters
    through the cached column-tile segment layout, each domain writing
@@ -398,24 +343,12 @@ let run_sparse ?pool ?variant ?tile_rows ?tile_cols ?guard (x : Matrix.Csr.t)
   (* armed fault point: only fires under the executor's recovery scope *)
   Kf_resil.Fault.check Kf_resil.Fault.Launch ~point:"host_fused.sparse";
   let pool = get_pool pool in
-  let variant =
-    match variant with
-    | Some v -> v
-    | None -> choose_variant ~domains:(Par.Pool.size pool) ~cols:x.cols ()
-  in
-  Kf_obs.Host_stats.set_variant (variant_name variant);
-  (match variant with
+  let beta_z = epilogue_of ~beta ~z in
+  (match resolve_variant pool variant ~cols:x.cols with
   | Dense_acc ->
-      let beta_z = epilogue_of ~beta ~z in
       let parts = sparse_dense_acc pool x ~p_of in
       finish_dense_acc ?guard pool parts ~alpha ~beta_z ~out
-  | Col_partition ->
-      let w = sparse_col_partition pool x ~p_of in
-      let w = Matrix.Blas.finish_pattern ~alpha ~beta ~z w in
-      Array.blit w 0 out 0 x.cols;
-      check_after guard out
   | Blocked ->
-      let beta_z = epilogue_of ~beta ~z in
       sparse_blocked pool ?tile_rows ?tile_cols x ~p_of ~alpha ~beta_z ~out;
       check_after guard out);
   out
@@ -511,17 +444,6 @@ let dense_axpy_row data ~base ~pr ~(w : float array) ~clo ~chi =
     incr c
   done
 
-let dense_scatter_rows (x : Matrix.Dense.t) ~p_of ~w ~rlo ~rhi ~clo ~chi =
-  for r = rlo to rhi - 1 do
-    let pr = p_of r in
-    if pr <> 0.0 then begin
-      let base = r * x.cols in
-      for c = clo to chi - 1 do
-        w.(c) <- w.(c) +. (x.data.(base + c) *. pr)
-      done
-    end
-  done
-
 let dense_dense_acc pool (x : Matrix.Dense.t) ~p_of =
   let workers = Par.Pool.size pool in
   let bounds = Par.Partition.uniform ~n:x.rows ~parts:workers in
@@ -539,26 +461,6 @@ let dense_dense_acc pool (x : Matrix.Dense.t) ~p_of =
           dense_axpy_row x.data ~base:(r * x.cols) ~pr ~w ~clo:0 ~chi:x.cols
       done);
   parts
-
-let dense_col_partition pool (x : Matrix.Dense.t) ~p_of =
-  let workers = Par.Pool.size pool in
-  let p = Array.make x.rows 0.0 in
-  record_accs ~count:1 ~elems:x.rows;
-  record_accs ~count:1 ~elems:x.cols;
-  Par.Pool.parallel_for pool ~lo:0 ~hi:x.rows (fun a b ->
-      if Kf_obs.Host_stats.profiling () then
-        Kf_obs.Host_stats.add_work ~rows:(b - a) ~nnz:((b - a) * x.cols);
-      for r = a to b - 1 do
-        p.(r) <- p_of r
-      done);
-  let w = Array.make x.cols 0.0 in
-  let cbounds = Par.Partition.uniform ~n:x.cols ~parts:workers in
-  Par.Pool.run_workers pool (fun wid ->
-      let clo = cbounds.(wid) and chi = cbounds.(wid + 1) in
-      if chi > clo then
-        dense_scatter_rows x ~p_of:(fun r -> p.(r)) ~w ~rlo:0 ~rhi:x.rows ~clo
-          ~chi);
-  w
 
 (* Dense Blocked: pass 1 materialises p over row blocks; pass 2 is the
    owner-computes column-stripe gemv_t from the parallel BLAS with the
@@ -589,27 +491,32 @@ let pattern_dense ?pool ?variant ?tile_rows ?tile_cols ?out ?guard ~alpha
   else begin
     Kf_resil.Fault.check Kf_resil.Fault.Launch ~point:"host_fused.dense";
     let pool = get_pool pool in
-    let variant =
-      match variant with
-      | Some v -> v
-      | None -> choose_variant ~domains:(Par.Pool.size pool) ~cols:x.cols ()
-    in
-    Kf_obs.Host_stats.set_variant (variant_name variant);
+    let beta_z = epilogue_of ~beta ~z in
     let p_of = dense_row_scalar x y ~v in
-    (match variant with
+    (match resolve_variant pool variant ~cols:x.cols with
     | Dense_acc ->
-        let beta_z = epilogue_of ~beta ~z in
         let parts = dense_dense_acc pool x ~p_of in
         finish_dense_acc ?guard pool parts ~alpha ~beta_z ~out
-    | Col_partition ->
-        let w = dense_col_partition pool x ~p_of in
-        let w = Matrix.Blas.finish_pattern ~alpha ~beta ~z w in
-        Array.blit w 0 out 0 x.cols;
-        check_after guard out
     | Blocked ->
-        let beta_z = epilogue_of ~beta ~z in
         dense_blocked pool ?tile_rows ?tile_cols x ~p_of ~alpha ~beta_z ~out;
         check_after guard out);
+    out
+  end
+
+(* Dense [alpha * X^T p]: [Blas.owner_gemv_t]'s column stripes with
+   [alpha] folded into the owners' final writes.  Every column sums its
+   rows in order, as [Blas.gemv_t] does, so the bits are those of
+   [gemv_t] followed by a scale, on any pool. *)
+let xt_p_dense ?pool ?guard ~alpha (x : Matrix.Dense.t) p =
+  if Array.length p <> x.rows then
+    invalid_arg "Host_fused.xt_p_dense: p must have one element per row";
+  let out = Array.create_float x.cols in
+  if x.rows = 0 || x.cols = 0 then
+    degenerate ?guard ~alpha ~beta:None ~z:None ~out ()
+  else begin
+    Matrix.Blas.owner_gemv_t ~pool:(get_pool pool) ~credit:true ~alpha x p
+      ~out;
+    check_after guard out;
     out
   end
 

@@ -36,11 +36,8 @@
     [KF_HOST_TILE_ROWS]/[KF_HOST_TILE_COLS] so a tile's slice of [w]
     stays L2-resident.  Ownership is exclusive, so the merge — and its
     O(domains * cols) traffic — disappears, and the pattern epilogue
-    [alpha * w + beta * z] folds into each owner's final write.  The
-    legacy [Col_partition] variant (every domain re-streams the matrix
-    filtering its column range — d-fold matrix traffic) is kept only as
-    an explicitly requestable baseline; [KF_HOST_VARIANT] forces any
-    variant by name for experiments.
+    [alpha * w + beta * z] folds into each owner's final write.
+    [KF_HOST_VARIANT] forces either variant by name for experiments.
 
     All entry points compute real results only (no simulator): they are
     the "runs as fast as the hardware allows" backend and are verified
@@ -49,14 +46,11 @@
 
 type variant =
   | Dense_acc  (** per-domain dense accumulators + tree merge *)
-  | Col_partition
-      (** legacy: shared [w], disjoint column ranges, matrix re-streamed
-          per domain *)
   | Blocked
       (** owner-computes column tiles, cached segment layout, no merge *)
 
 val variant_name : variant -> string
-(** ["dense-acc"], ["col-partition"] or ["blocked"]. *)
+(** ["dense-acc"] or ["blocked"]. *)
 
 val default_accumulator_budget_bytes : unit -> int
 (** Working-set budget for per-domain accumulators: the
@@ -65,11 +59,10 @@ val default_accumulator_budget_bytes : unit -> int
 
 val choose_variant :
   ?budget_bytes:int -> domains:int -> cols:int -> unit -> variant
-(** [KF_HOST_VARIANT] ("dense-acc" | "col-partition" | "blocked") when
-    set to a valid name; otherwise [Dense_acc] while
-    [8 * cols * domains] fits both [budget_bytes] and half an L2 per
-    domain, else [Blocked] ({!Par.Tune.prefer_owner_computes}).
-    [Col_partition] is never auto-chosen. *)
+(** [KF_HOST_VARIANT] ("dense-acc" | "blocked") when set to a valid
+    name; otherwise [Dense_acc] while [8 * cols * domains] fits both
+    [budget_bytes] and half an L2 per domain, else [Blocked]
+    ({!Par.Tune.prefer_owner_computes}). *)
 
 val pattern_sparse :
   ?pool:Par.Pool.t ->
@@ -156,6 +149,15 @@ val xt_p :
     where the per-row scalar arrives precomputed and only the scatter
     (with its hierarchical aggregation) remains.  [guard] as in
     {!pattern_sparse}. *)
+
+val xt_p_dense :
+  ?pool:Par.Pool.t -> ?guard:string -> alpha:float -> Matrix.Dense.t ->
+  Matrix.Vec.t -> Matrix.Vec.t
+(** [alpha * X^T p] for dense [x]: the owner-computes column stripes of
+    [Matrix.Blas.owner_gemv_t], with [alpha] folded into each owner's
+    final write.  Each column sums its rows in order, so the result has
+    the bits of [Matrix.Blas.gemv_t] scaled by [alpha], on any pool.
+    [guard] as in {!pattern_sparse}: one scan at the end. *)
 
 (** {1 FusedMM graph kernels}
 

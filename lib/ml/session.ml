@@ -148,13 +148,13 @@ let fusedmm ?semiring ?out t inst g h =
    add nothing to [gpu_ms] or [launches]: their time line stays pure
    measured wall-clock. *)
 let level1 t ~sim ~host =
-  match t.engine with
-  | Fusion.Executor.Fused | Fusion.Executor.Library ->
-      let r, reports = sim t.device in
-      t.gpu_ms <- t.gpu_ms +. Sim.total_ms reports;
-      t.launches <- t.launches + List.length reports;
-      r
-  | Fusion.Executor.Host | Fusion.Executor.Dist -> host ()
+  if Fusion.Executor.simulated t.engine then begin
+    let r, reports = sim t.device in
+    t.gpu_ms <- t.gpu_ms +. Sim.total_ms reports;
+    t.launches <- t.launches + List.length reports;
+    r
+  end
+  else host ()
 
 let dot t x y =
   level1 t
@@ -182,26 +182,25 @@ let scal_inplace t a x =
    loop (its dot keeps its left-to-right order) and [axpby_inplace],
    element-wise, runs on the pool over column ranges. *)
 let axpy2_dot t a x y u v =
-  match t.engine with
-  | Fusion.Executor.Fused | Fusion.Executor.Library ->
-      axpy_inplace t a x y;
-      axpy_inplace t a u v;
-      dot t v v
-  | Fusion.Executor.Host | Fusion.Executor.Dist ->
-      Matrix.Vec.axpy2_dot a x y u v
+  if Fusion.Executor.simulated t.engine then begin
+    axpy_inplace t a x y;
+    axpy_inplace t a u v;
+    dot t v v
+  end
+  else Matrix.Vec.axpy2_dot a x y u v
 
 let axpby_inplace t a x b y =
-  match t.engine with
-  | Fusion.Executor.Fused | Fusion.Executor.Library ->
-      scal_inplace t b y;
-      axpy_inplace t a x y
-  | Fusion.Executor.Host | Fusion.Executor.Dist ->
-      let n = Array.length y in
-      if Array.length x <> n then
-        invalid_arg "Session.axpby_inplace: length mismatch";
-      let pool = match t.pool with Some p -> p | None -> Par.Pool.default () in
-      Par.Pool.parallel_for pool ~lo:0 ~hi:n (fun lo hi ->
-          Matrix.Vec.axpby ~lo ~hi a x b y)
+  if Fusion.Executor.simulated t.engine then begin
+    scal_inplace t b y;
+    axpy_inplace t a x y
+  end
+  else
+    let n = Array.length y in
+    if Array.length x <> n then
+      invalid_arg "Session.axpby_inplace: length mismatch";
+    let pool = match t.pool with Some p -> p | None -> Par.Pool.default () in
+    Par.Pool.parallel_for pool ~lo:0 ~hi:n (fun lo hi ->
+        Matrix.Vec.axpby ~lo ~hi a x b y)
 
 let axpy t a x y =
   let out = Array.copy y in

@@ -53,19 +53,10 @@ let compile ?engine ?pool ?host ?(overhead_ms = 0.05) ?(positional = [])
     | Some h -> h
     | None -> Cost.host_of_bench_file "BENCH_host.json"
   in
-  let domains =
-    match (pool, cost_engine) with
-    | Some p, _ -> Par.Pool.size p
-    | None, Fusion.Executor.Host -> Par.Pool.default_size ()
-    | None, _ -> 1
-  in
-  let workers =
-    match cost_engine with
-    | Fusion.Executor.Dist -> Kf_dist.Cluster.default_size ()
-    | _ -> 1
-  in
   let ctx =
-    Cost.create ~host ~overhead_ms ~domains ~workers ~engine:cost_engine device
+    Cost.create ~host ~overhead_ms
+      ?domains:(Option.map Par.Pool.size pool)
+      ~engine:cost_engine device
   in
   let groups, ordered_groups =
     Kf_obs.Trace.with_span "plan.cost" (fun () ->

@@ -67,7 +67,8 @@ val create :
   Gpu_sim.Device.t ->
   ctx
 (** Defaults: [host = default_host], [overhead_ms = 0.05] (the
-    {!Sysml.Runtime} per-operator charge), [domains = 1], [workers =
+    {!Sysml.Runtime} per-operator charge), [domains =
+    Par.Pool.default_size ()] under [Host] (1 otherwise), [workers =
     Kf_dist.Cluster.default_size ()] under [Dist] (1 otherwise), [net =
     Kf_dist.Netmodel.of_env ()]. *)
 

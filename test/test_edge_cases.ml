@@ -88,16 +88,6 @@ let test_streaming_empty_rows () =
   in
   Alcotest.(check (float 1e-12)) "zero result" 0.0 (Vec.nrm2 r.Fusion.Streaming.w)
 
-let test_market_empty_matrix () =
-  let path = Filename.temp_file "kf_edge" ".mtx" in
-  let oc = open_out path in
-  output_string oc "%%MatrixMarket matrix coordinate real general\n3 4 0\n";
-  close_out oc;
-  let x = Market.read_sparse path in
-  Sys.remove path;
-  Alcotest.(check int) "zero nnz" 0 (Csr.nnz x);
-  Alcotest.(check int) "shape kept" 12 (x.Csr.rows * x.Csr.cols)
-
 let test_hits_empty_graph () =
   let a = empty_rows_csr ~rows:5 ~cols:5 in
   let r = Kf_ml.Hits.run ~iterations:3 device a in
@@ -163,7 +153,6 @@ let test_zero_rows_host () =
         (Vec.scale 3.0 z) w)
     [
       Fusion.Host_fused.Dense_acc;
-      Fusion.Host_fused.Col_partition;
       Fusion.Host_fused.Blocked;
     ];
   let w = Fusion.Host_fused.xt_p ~alpha:1.0 x [||] in
@@ -205,7 +194,6 @@ let suite =
     Alcotest.test_case "length-1 vector ops" `Quick test_vector_ops_length_one;
     Alcotest.test_case "streaming over empty rows" `Quick
       test_streaming_empty_rows;
-    Alcotest.test_case "market: zero-nnz file" `Quick test_market_empty_matrix;
     Alcotest.test_case "HITS on an empty graph" `Quick test_hits_empty_graph;
     Alcotest.test_case "tuner on a 1-row matrix" `Quick test_tuner_tiny_matrix;
     Alcotest.test_case "rows=0: fused sparse" `Quick test_zero_rows_fused;

@@ -13,7 +13,6 @@ let pools () =
 let variants =
   [
     Fusion.Host_fused.Dense_acc;
-    Fusion.Host_fused.Col_partition;
     Fusion.Host_fused.Blocked;
   ]
 
@@ -32,7 +31,9 @@ let close ~what reference w =
     reference;
   true
 
-(* (seed, rows, cols, density, with_v, with_bz, alpha) *)
+(* (seed, rows, cols, density, with_v, with_bz, alpha); one draw in
+   five is wider than [Par.Pool.parallel_for]'s 256-element cutoff, so
+   the column-parallel finish pass runs on the pool *)
 let sparse_case =
   QCheck.make
     ~print:(fun (seed, r, c, d, v, bz, a) ->
@@ -41,7 +42,7 @@ let sparse_case =
     QCheck.Gen.(
       let* seed = int_bound 10_000 in
       let* rows = int_range 1 80 in
-      let* cols = int_range 1 60 in
+      let* cols = frequency [ (4, int_range 1 60); (1, int_range 257 400) ] in
       let* density = float_range 0.01 0.4 in
       let* with_v = bool in
       let* with_bz = bool in
@@ -731,6 +732,13 @@ let test_eq1_executor_guard () =
       let xt () =
         Fusion.Executor.xt_y ~engine ~pool device (Sparse xs) vs ~alpha:0.75
       in
+      let xt_dense () =
+        Fusion.Executor.xt_y ~engine ~pool device (Dense xd) vd ~alpha:0.75
+      in
+      let pattern_dense () =
+        Fusion.Executor.pattern ~engine ~pool device (Dense xd) ~y:yd ~v:vd
+          ~beta_z:(-0.5, zd) ~alpha:0.75 ()
+      in
       let checked f = (f ()).Fusion.Executor.checked in
       (* "no fault rule" explicitly: the CI chaos matrix sets KF_FAULTS
          for the whole suite *)
@@ -739,6 +747,29 @@ let test_eq1_executor_guard () =
         (no_faults (fun () -> checked run));
       Alcotest.(check bool) "guards on: xt_y checked in the kernel" true
         (no_faults (fun () -> checked xt));
+      Alcotest.(check bool) "guards on: dense xt_y checked in the kernel" true
+        (no_faults (fun () -> checked xt_dense));
+      Alcotest.(check bool) "guards on: dense pattern checked in the kernel"
+        true
+        (no_faults (fun () -> checked pattern_dense));
+      Alcotest.(check bool) "guards off: dense xt_y not checked" false
+        (Kf_resil.Guard.with_enabled false (fun () -> checked xt_dense));
+      (* alpha folded into the owners' writes, checked in the kernel:
+         the bits of gemv_t scaled by alpha, on every pool *)
+      let want = Blas.gemv_t xd vd in
+      Vec.scal 0.75 want;
+      List.iter
+        (fun pool ->
+          let r =
+            no_faults (fun () ->
+                Fusion.Executor.xt_y ~engine ~pool device (Dense xd) vd
+                  ~alpha:0.75)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "dense xt_y bits, %d domains" (Par.Pool.size pool))
+            true
+            (r.Fusion.Executor.checked && same_bits want r.Fusion.Executor.w))
+        (List.map Lazy.force [ pool1; pool2; pool4 ]);
       Alcotest.(check bool) "fault rule active: scanned after poisoning" false
         (Kf_resil.Fault.with_config "nan:after=1000" (fun () -> checked run));
       Alcotest.(check bool) "guards off: not checked" false

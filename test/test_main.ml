@@ -8,7 +8,6 @@ let () =
       ("dense", Test_dense.suite);
       ("sparse", Test_sparse.suite);
       ("blas", Test_blas.suite);
-      ("market", Test_market.suite);
       ("gpu", Test_gpu.suite);
       ("warp", Test_warp.suite);
       ("gpulibs", Test_gpulibs.suite);

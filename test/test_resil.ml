@@ -212,6 +212,43 @@ let test_reference_floor () =
   Alcotest.(check bool) "reference run recorded" true
     (counter "resil.reference_runs" > before)
 
+(* Two failed launches, the attempt and its retry, move an op to its
+   engine's declared fallback: Fused and Host to Library, Dist to Host,
+   and Library, which has none, to the reference floor. *)
+let test_fallback_chain () =
+  let rng = Rng.create 9 in
+  let x = Gen.sparse_uniform rng ~rows:30 ~cols:15 ~density:0.3 in
+  let p = Gen.vector rng 30 in
+  let reference = Blas.csrmv_t x p in
+  let cluster = Kf_dist.Cluster.create ~workers:2 () in
+  Fun.protect ~finally:(fun () -> Kf_dist.Cluster.shutdown cluster)
+  @@ fun () ->
+  List.iter
+    (fun (engine, lands_on) ->
+      let before = counter "resil.fallbacks" in
+      let r =
+        Fault.with_config "launch:after=0:times=2:point=executor." (fun () ->
+            Fusion.Executor.xt_y ~engine ~cluster device (Sparse x) p
+              ~alpha:1.0)
+      in
+      let what =
+        Printf.sprintf "%s lands on %s (%s)"
+          (Fusion.Executor.engine_to_string engine)
+          lands_on r.engine_used
+      in
+      Alcotest.(check bool) what true
+        (Astring.String.is_prefix ~affix:lands_on r.engine_used);
+      Alcotest.(check bool) (what ^ ": one fallback") true
+        (counter "resil.fallbacks" = before + 1);
+      Alcotest.(check bool) (what ^ ": result") true
+        (close ~what reference r.w))
+    [
+      (Fusion.Executor.Fused, "cusparse");
+      (Fusion.Executor.Library, "reference");
+      (Fusion.Executor.Host, "cusparse");
+      (Fusion.Executor.Dist, "host");
+    ]
+
 (* ---- guards ---- *)
 
 let test_guard_detects () =
@@ -556,6 +593,8 @@ let suite =
     QCheck_alcotest.to_alcotest test_chaos_differential;
     Alcotest.test_case "NaN poisoning healed by retry" `Quick
       test_nan_retry_recovers;
+    Alcotest.test_case "fallback chain follows each engine" `Quick
+      test_fallback_chain;
     Alcotest.test_case "reference floor after exhausted retries" `Quick
       test_reference_floor;
     Alcotest.test_case "guards detect non-finite outputs" `Quick

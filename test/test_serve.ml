@@ -4,6 +4,7 @@
 open Matrix
 open Gpu_sim
 open Kf_serve
+module Histogram = Kf_obs.Histogram
 
 let device = Device.gtx_titan
 
